@@ -6,7 +6,7 @@
 #   ./bench.sh                 # full benchmark suite
 #   ./bench.sh 'Fig8a'         # one family
 #   ./bench.sh 'Batch'         # steady-state ForwardBatch vs unbatched loop
-#   ./bench.sh --tuned         # autotuner A-B: estimate vs measured per knob
+#   ./bench.sh --tuned         # autotuner A-B: estimate vs measured conv length
 #   BENCHTIME=5s ./bench.sh    # longer per-benchmark budget
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -15,11 +15,12 @@ benchtime="${BENCHTIME:-2s}"
 out="BENCH_$(date +%Y%m%d).json"
 
 if [[ "${1:-}" == "--tuned" ]]; then
-  # Autotuner mode: the BenchmarkTuned* families run each knob's transform
-  # under the estimate heuristics and under freshly measured wisdom (one
-  # sub-benchmark per mode), plus the per-candidate Bluestein convolution
-  # ladder (BenchmarkConv4099) — the estimate-vs-measured A-B pairs land in
-  # the dated snapshot automatically instead of being assembled by hand.
+  # Autotuner mode: only the Bluestein convolution length is tuned. The
+  # BenchmarkTuned* families run a Bluestein transform under the estimate
+  # heuristic and under freshly measured wisdom (one sub-benchmark per mode),
+  # plus the per-candidate convolution ladder (BenchmarkConv4099) — the
+  # estimate-vs-measured A-B pairs land in the dated snapshot automatically
+  # instead of being assembled by hand.
   go test -run '^$' -bench 'Tuned' -benchmem -benchtime "$benchtime" -json . | tee "$out"
   go test -run '^$' -bench 'BenchmarkConv4099' -benchmem -benchtime "$benchtime" -json ./internal/tune/ | tee -a "$out"
   echo "wrote $out (tuned A-B)" >&2

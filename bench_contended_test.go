@@ -92,7 +92,7 @@ func BenchmarkContendedParallel4_FFTW(b *testing.B) {
 }
 
 func BenchmarkContendedGrid2D_OnlineMemory(b *testing.B) {
-	tr, err := ftfft.New(64*64, ftfft.WithShape(64, 64), ftfft.WithRanks(4),
+	tr, err := ftfft.New(64*64, ftfft.WithDims(64, 64), ftfft.WithRanks(4),
 		ftfft.WithProtection(ftfft.OnlineABFTMemory))
 	if err != nil {
 		b.Fatal(err)

@@ -292,12 +292,12 @@ func BenchmarkTable6_BitFlipRecovery(b *testing.B) {
 			Site: ftfft.SiteInputMemory, Rank: ftfft.AnyRank, Index: -1,
 			Mode: ftfft.BitFlip, Bit: 53,
 		})
-		plan, err := ftfft.NewPlan(n, ftfft.Options{Protection: ftfft.OnlineABFTMemory, Injector: sched})
+		tr, err := ftfft.New(n, ftfft.WithProtection(ftfft.OnlineABFTMemory), ftfft.WithInjector(sched))
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, err := plan.Forward(dst, in); err != nil {
+		if _, err := tr.Forward(context.Background(), dst, in); err != nil {
 			b.Fatal(err)
 		}
 	}

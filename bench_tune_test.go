@@ -1,12 +1,13 @@
 package ftfft_test
 
-// bench_tune_test.go is the autotuner's A-B trajectory: each BenchmarkTuned*
-// family runs the same transform under the estimate heuristics and under a
-// freshly measured wisdom table, one sub-benchmark per mode, so the dated
-// JSON snapshots (bench.sh --tuned) record the measured-vs-estimate delta
-// per knob without hand-built comparisons. BenchmarkTunedPlanBuild pins the
-// plan-build cost contract: a wisdom hit must build within noise of the
-// estimate path (the measurement sweeps run only on a table miss).
+// bench_tune_test.go is the autotuner's A-B trajectory: BenchmarkTuned*
+// runs the same transform under the estimate heuristics and under a freshly
+// measured wisdom table, one sub-benchmark per mode, so the dated JSON
+// snapshots (bench.sh --tuned) record the measured-vs-estimate delta of the
+// Bluestein convolution knob without hand-built comparisons.
+// BenchmarkTunedPlanBuild prices plan build: a wisdom hit must build within
+// noise of the estimate path (the measurement sweep runs only on a table
+// miss).
 
 import (
 	"context"
@@ -20,11 +21,10 @@ import (
 // mode. Measured mode pays its sweeps at plan build, outside the timer; the
 // wisdom table is reset first so each run measures from scratch rather than
 // inheriting an earlier sub-benchmark's winners.
-func benchTunedForward(b *testing.B, n int, mode ftfft.TuningMode, opts ...ftfft.Option) {
+func benchTunedForward(b *testing.B, n int, mode ftfft.TuningMode) {
 	b.Helper()
 	ftfft.ForgetWisdom()
-	opts = append([]ftfft.Option{ftfft.WithTuning(mode)}, opts...)
-	tr, err := ftfft.New(n, opts...)
+	tr, err := ftfft.New(n, ftfft.WithTuning(mode))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -46,23 +46,6 @@ func benchTunedForward(b *testing.B, n int, mode ftfft.TuningMode, opts ...ftfft
 func BenchmarkTunedBluestein4099(b *testing.B) {
 	b.Run("estimate", func(b *testing.B) { benchTunedForward(b, 4099, ftfft.TuneEstimate) })
 	b.Run("measured", func(b *testing.B) { benchTunedForward(b, 4099, ftfft.TuneMeasured) })
-}
-
-// BenchmarkTunedKernel4096 is the flat-vs-recursive engine knob A-B on a
-// protected power of two, where both engines are legal candidates.
-func BenchmarkTunedKernel4096(b *testing.B) {
-	opts := []ftfft.Option{ftfft.WithProtection(ftfft.OnlineABFTMemory)}
-	b.Run("estimate", func(b *testing.B) { benchTunedForward(b, 4096, ftfft.TuneEstimate, opts...) })
-	b.Run("measured", func(b *testing.B) { benchTunedForward(b, 4096, ftfft.TuneMeasured, opts...) })
-}
-
-// BenchmarkTunedTile256x256 is the nd tile knob A-B: the tuner sweeps the
-// same ladder as BenchmarkTileSize (nd.TileLadder) and retiles the plan to
-// the measured winner.
-func BenchmarkTunedTile256x256(b *testing.B) {
-	opts := []ftfft.Option{ftfft.WithDims(256, 256)}
-	b.Run("estimate", func(b *testing.B) { benchTunedForward(b, 256*256, ftfft.TuneEstimate, opts...) })
-	b.Run("measured", func(b *testing.B) { benchTunedForward(b, 256*256, ftfft.TuneMeasured, opts...) })
 }
 
 // BenchmarkTunedPlanBuild pins that a wisdom hit costs plan-build time

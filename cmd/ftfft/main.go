@@ -41,15 +41,18 @@
 //
 // Autotuning (FFTW-style MEASURE with persistent wisdom):
 //
-//	ftfft -n 20 -tune -wisdom /tmp/ftfft.wisdom   # measure, run, save wisdom
-//	ftfft -n 20 -wisdom /tmp/ftfft.wisdom         # reuse the saved choices
+//	ftfft -dims 8198 -tune -wisdom /tmp/ftfft.wisdom   # measure, run, save wisdom
+//	ftfft -dims 8198 -wisdom /tmp/ftfft.wisdom         # reuse the saved choice
 //
-// -tune builds the plan under WithTuning(TuneMeasured): legal candidates for
-// each tunable plan choice are timed at plan build and the winners recorded
-// as wisdom. -wisdom names a wisdom file imported (if present) before
-// planning; with -tune the updated table is written back after the run, so
-// the same flag on a later invocation — or on ftserve — replays the measured
-// choices without re-measuring.
+// -tune builds the plan under WithTuning(TuneMeasured): the one tuned choice
+// is the Bluestein convolution length of a leaf size with a prime factor
+// above 31 (8198 = 2·4099 carries the leaf 4099), timed at plan build and
+// recorded as wisdom; power-of-two sizes have nothing to tune. -wisdom names
+// a wisdom file imported (if present) before planning; with -tune the
+// updated table is written back after the run, so the same flag on a later
+// invocation — or on ftserve — replays the measured choice without
+// re-measuring. Files written before the version-2 wisdom format are
+// rejected and must be re-tuned.
 package main
 
 import (
@@ -93,8 +96,8 @@ func main() {
 	transport := flag.String("transport", "socket", "distributed wire: socket (unix/tcp, inferred from the address) or shm (same-host memory-mapped rings; -listen/-connect is the ring-file path)")
 	mesh := flag.Bool("mesh", false, "with -listen: socket workers dial each other directly; worker↔worker frames skip the hub relay")
 	noMesh := flag.Bool("no-mesh", false, "with -worker: join relay-only, declining peer mesh connections")
-	tune := flag.Bool("tune", false, "build the plan under measured tuning: time candidate plan choices and record the winners as wisdom")
-	wisdomPath := flag.String("wisdom", "", "wisdom file: imported before planning if present; with -tune, the updated table is saved back after the run")
+	tune := flag.Bool("tune", false, "build the plan under measured tuning: time the Bluestein convolution lengths and record the winner as wisdom")
+	wisdomPath := flag.String("wisdom", "", "wisdom file (version 2; re-tune older files): imported before planning if present; with -tune, the updated table is saved back after the run")
 	flag.Parse()
 
 	if *transport != "socket" && *transport != "shm" {

@@ -24,10 +24,11 @@
 // faults detected and repaired in their response reports.
 //
 // -wisdom imports a tuning-wisdom file (produced by ftfft -tune -wisdom)
-// before serving: plans built for cache misses apply the recorded measured
-// choices, but the server itself never benchmarks inside a request. Servers
-// sharing one wisdom file build identical plans and return bit-identical
-// spectra.
+// before serving: plans built for cache misses apply the recorded Bluestein
+// convolution lengths, but the server itself never benchmarks inside a
+// request. Servers sharing one wisdom file build identical plans and return
+// bit-identical spectra. Files in the older version-1 format are rejected at
+// startup and must be re-tuned.
 package main
 
 import (
@@ -52,7 +53,7 @@ func main() {
 	workers := flag.Int("workers", 0, "server-owned executor width (0 = shared process pool)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "bound on the graceful drain after SIGTERM/SIGINT")
 	inject := flag.String("inject", "", "server-side fault mix for every built plan, e.g. 1m+1c")
-	wisdomPath := flag.String("wisdom", "", "tuning-wisdom file to import before serving (from ftfft -tune -wisdom)")
+	wisdomPath := flag.String("wisdom", "", "tuning-wisdom file to import before serving: Bluestein convolution lengths from ftfft -tune -wisdom (version 2; re-tune older files)")
 	quiet := flag.Bool("quiet", false, "suppress startup and shutdown chatter")
 	flag.Parse()
 

@@ -1,6 +1,7 @@
 package ftfft_test
 
 import (
+	"slices"
 	"testing"
 
 	"ftfft"
@@ -30,6 +31,8 @@ func direct2D(x []complex128, rows, cols int) []complex128 {
 	return out
 }
 
+// Test2DForwardMatchesDirect checks 2-D plans against the direct DFT, and
+// that dispatching the passes over a worker pool (WithRanks) changes no bit.
 func Test2DForwardMatchesDirect(t *testing.T) {
 	for _, shape := range []struct{ rows, cols int }{
 		{16, 16}, {8, 32}, {64, 16},
@@ -37,18 +40,17 @@ func Test2DForwardMatchesDirect(t *testing.T) {
 		x := workload.Uniform(int64(shape.rows), shape.rows*shape.cols)
 		want := direct2D(x, shape.rows, shape.cols)
 		for _, prot := range []ftfft.Protection{ftfft.None, ftfft.OnlineABFTMemory} {
-			p, err := ftfft.NewPlan2D(shape.rows, shape.cols, ftfft.Options{Protection: prot})
-			if err != nil {
-				t.Fatalf("%dx%d %v: %v", shape.rows, shape.cols, prot, err)
-			}
-			dst := make([]complex128, len(x))
-			rep, err := p.Forward(dst, append([]complex128(nil), x...))
+			opts := []ftfft.Option{ftfft.WithDims(shape.rows, shape.cols), ftfft.WithProtection(prot)}
+			dst, rep, err := transformOnce(t, x, false, opts...)
 			if err != nil || !rep.Clean() {
 				t.Fatalf("%dx%d %v: err=%v rep=%+v", shape.rows, shape.cols, prot, err, rep)
 			}
 			n := float64(len(x))
 			if d := maxAbsDiff(dst, want); d > 1e-8*n*(1+maxAbs(want)) {
 				t.Errorf("%dx%d %v: diff %g", shape.rows, shape.cols, prot, d)
+			}
+			if par, _, err := transformOnce(t, x, false, append(opts, ftfft.WithRanks(4))...); err != nil || !slices.Equal(par, dst) {
+				t.Errorf("%dx%d %v: WithRanks(4) changed the output (err=%v)", shape.rows, shape.cols, prot, err)
 			}
 		}
 	}
@@ -57,16 +59,13 @@ func Test2DForwardMatchesDirect(t *testing.T) {
 func Test2DInverseRoundTrip(t *testing.T) {
 	rows, cols := 32, 64
 	x := workload.Normal(4, rows*cols)
-	p, err := ftfft.NewPlan2D(rows, cols, ftfft.Options{Protection: ftfft.OnlineABFTMemory})
+	opts := []ftfft.Option{ftfft.WithDims(rows, cols), ftfft.WithProtection(ftfft.OnlineABFTMemory)}
+	X, _, err := transformOnce(t, x, false, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	X := make([]complex128, rows*cols)
-	y := make([]complex128, rows*cols)
-	if _, err := p.Forward(X, x); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Inverse(y, X); err != nil {
+	y, _, err := transformOnce(t, X, true, opts...)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if d := maxAbsDiff(y, x); d > 1e-9*float64(rows*cols)*(1+maxAbs(x)) {
@@ -82,12 +81,7 @@ func Test2DFaultRecovery(t *testing.T) {
 		ftfft.Fault{Site: ftfft.SiteSubFFT1, Rank: ftfft.AnyRank, Occurrence: 7, Index: -1, Mode: ftfft.AddConstant, Value: 5},
 		ftfft.Fault{Site: ftfft.SiteInputMemory, Rank: ftfft.AnyRank, Occurrence: 3, Index: -1, Mode: ftfft.SetConstant, Value: 9},
 	)
-	p, err := ftfft.NewPlan2D(rows, cols, ftfft.Options{Protection: ftfft.OnlineABFTMemory, Injector: sched})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]complex128, rows*cols)
-	rep, err := p.Forward(dst, append([]complex128(nil), x...))
+	dst, rep, err := transformOnce(t, x, false, ftfft.WithDims(rows, cols), ftfft.WithProtection(ftfft.OnlineABFTMemory), ftfft.WithInjector(sched))
 	if err != nil {
 		t.Fatalf("%v (%+v)", err, rep)
 	}
@@ -106,24 +100,15 @@ func Test2DFaultRecovery(t *testing.T) {
 func Test2DInverseFaultRecovery(t *testing.T) {
 	rows, cols := 32, 32
 	x := workload.Uniform(9, rows*cols)
-	clean, err := ftfft.NewPlan2D(rows, cols, ftfft.Options{Protection: ftfft.OnlineABFTMemory})
+	want, _, err := transformOnce(t, x, true, ftfft.WithDims(rows, cols), ftfft.WithProtection(ftfft.OnlineABFTMemory))
 	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]complex128, rows*cols)
-	if _, err := clean.Inverse(want, append([]complex128(nil), x...)); err != nil {
 		t.Fatal(err)
 	}
 	sched := ftfft.NewFaultSchedule(10,
 		ftfft.Fault{Site: ftfft.SiteSubFFT1, Rank: ftfft.AnyRank, Occurrence: 5, Index: -1, Mode: ftfft.AddConstant, Value: 4},
 		ftfft.Fault{Site: ftfft.SiteInputMemory, Rank: ftfft.AnyRank, Occurrence: 2, Index: -1, Mode: ftfft.SetConstant, Value: 11},
 	)
-	p, err := ftfft.NewPlan2D(rows, cols, ftfft.Options{Protection: ftfft.OnlineABFTMemory, Injector: sched})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]complex128, rows*cols)
-	rep, err := p.Inverse(got, append([]complex128(nil), x...))
+	got, rep, err := transformOnce(t, x, true, ftfft.WithDims(rows, cols), ftfft.WithProtection(ftfft.OnlineABFTMemory), ftfft.WithInjector(sched))
 	if err != nil {
 		t.Fatalf("%v (%+v)", err, rep)
 	}
@@ -137,14 +122,17 @@ func Test2DInverseFaultRecovery(t *testing.T) {
 }
 
 func Test2DValidation(t *testing.T) {
-	if _, err := ftfft.NewPlan2D(0, 8, ftfft.Options{}); err == nil {
+	if _, err := ftfft.New(64, ftfft.WithDims(0, 8)); err == nil {
 		t.Fatal("zero rows accepted")
 	}
-	p, _ := ftfft.NewPlan2D(8, 8, ftfft.Options{})
-	if r, c := p.Shape(); r != 8 || c != 8 {
-		t.Fatalf("Shape = %d,%d", r, c)
+	tr, err := ftfft.New(64, ftfft.WithDims(8, 8))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := p.Forward(make([]complex128, 10), make([]complex128, 64)); err == nil {
+	if got := tr.Dims(); !slices.Equal(got, []int{8, 8}) {
+		t.Fatalf("Dims = %v", got)
+	}
+	if _, err := tr.Forward(bg, make([]complex128, 10), make([]complex128, 64)); err == nil {
 		t.Fatal("short dst accepted")
 	}
 }

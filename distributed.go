@@ -136,7 +136,7 @@ func ServeWorker(ctx context.Context, network, addr string, opts ...Option) erro
 	for _, o := range opts {
 		o(&c)
 	}
-	if c.ranks != 0 || c.dimsSet || c.rows != 0 || c.cols != 0 || c.protection != None ||
+	if c.ranks != 0 || c.dimsSet || c.protection != None ||
 		c.etaScale != 0 || c.maxRetries != 0 || c.transport != nil {
 		return fmt.Errorf("ftfft: ServeWorker takes its geometry and protection from the hub handshake; only WithInjector / WithWorkers / WithExecutor / WithoutPeerMesh apply")
 	}

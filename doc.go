@@ -21,7 +21,7 @@
 //
 //	par, _ := ftfft.New(1<<18, ftfft.WithRanks(8),
 //	    ftfft.WithProtection(ftfft.OnlineABFTMemory))  // §5 six-step, opt-FT-FFTW
-//	img, _ := ftfft.New(rows*cols, ftfft.WithShape(rows, cols),
+//	img, _ := ftfft.New(rows*cols, ftfft.WithDims(rows, cols),
 //	    ftfft.WithRanks(4))                            // 2-D over a 4-worker pool
 //	vol, _ := ftfft.New(64*64*64, ftfft.WithDims(64, 64, 64),
 //	    ftfft.WithProtection(ftfft.OnlineABFTMemory))  // protected 3-D volume
@@ -29,9 +29,7 @@
 // Forward, Inverse and ForwardBatch run under the same protection: the
 // inverse path uses the conjugation identity IDFT(x) = conj(DFT(conj(x)))/N
 // so the entire ABFT machinery guards it too, and batches reuse the plan's
-// pooled execution contexts with bit-identical results. The deprecated
-// NewPlan / NewParallelPlan / NewPlan2D constructors remain as thin shims
-// over the same executors.
+// pooled execution contexts with bit-identical results.
 //
 // # Protection levels
 //
@@ -109,8 +107,7 @@
 // worker count and executor choice are pure scheduling: outputs are
 // bit-identical across all of them, and bit-identical to the nested
 // axis-wise reference. Inverse applies the conjugation identity per line,
-// keeping every pass protected. Shape() remains as the 2-D compatibility
-// view of Dims().
+// keeping every pass protected.
 //
 // # Distributed execution
 //
@@ -269,23 +266,26 @@
 //
 // # Autotuning and wisdom
 //
-// Several plan choices are made by analytic cost models that can miss on a
-// given host. WithTuning(TuneMeasured) replaces them with FFTW-style
-// measurement: at plan build — never during execution — New and NewReal time
-// the legal candidates for each tunable choice and install the fastest:
+// One plan choice is made by an analytic cost model that can miss on a
+// given host by up to 1.6×: the Bluestein convolution length for a leaf
+// size with a prime factor beyond the kernel's butterflies, picked from the
+// {1,3,5,9,15}·2^k ladder ≥ 2·leaf−1. WithTuning(TuneMeasured) replaces the
+// model with FFTW-style measurement: at plan build — never during
+// execution — sequential 1-D New plans and NewReal plans time the ladder
+// and install the fastest length. Power-of-two, parallel and N-D plans
+// build exactly as under TuneEstimate. The other plan choices (flat vs recursive
+// kernel, nd tile size, ForwardBatch window) are not tuned: measured, they
+// never beat noise or the default.
 //
-//	kernel engine      flat vs recursive, power-of-two sub-plans only
-//	Bluestein conv     the {1,3,5,9,15}·2^k ladder ≥ 2n−1 (ConvCandidates)
-//	nd tile size       the BenchmarkTileSize ladder (nd.TileLadder)
-//	ForwardBatch       epoch-pipelining window 1, 2 or 4 (or WithBatchWindow)
-//
-// Winners are recorded in a process-wide bounded wisdom table keyed by
-// (knob, size, dims, scheme, real/complex): later builds of the same
-// geometry hit the table and skip the sweeps, so a wisdom-hit plan build
-// costs the same as the default. ExportWisdom serializes the table as a
-// versioned, checksummed blob and ImportWisdom merges one back — the fleet
-// workflow is tune once on a canary host, ship the file, import everywhere
-// (cmd/ftfft -tune -wisdom writes it; cmd/ftserve -wisdom loads it).
+// Winners are recorded in a process-wide bounded wisdom table keyed by leaf
+// size: later builds sharing the leaf hit the table and skip the sweep, so a
+// wisdom-hit plan build costs the same as the default. ExportWisdom
+// serializes the table as a versioned, checksummed blob of (leaf, length)
+// pairs and ImportWisdom merges one back, rejecting any length off its
+// leaf's ladder — the fleet workflow is tune once on a canary host, ship
+// the file, import everywhere (cmd/ftfft -tune -wisdom writes it;
+// cmd/ftserve -wisdom loads it). Blobs in the older version-1 format are
+// rejected and must be re-tuned.
 //
 // The determinism contract: wisdom stores *choices*, never timings, and
 // every candidate computes a correct transform — so timing noise only ever

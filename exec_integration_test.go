@@ -111,7 +111,7 @@ func TestExecutorDispatchBitIdentity(t *testing.T) {
 		opts []ftfft.Option
 	}{
 		{"parallel", 1024, []ftfft.Option{ftfft.WithRanks(4), ftfft.WithProtection(ftfft.OnlineABFTMemory)}},
-		{"grid", 32 * 64, []ftfft.Option{ftfft.WithShape(32, 64), ftfft.WithRanks(4), ftfft.WithProtection(ftfft.OnlineABFT)}},
+		{"grid", 32 * 64, []ftfft.Option{ftfft.WithDims(32, 64), ftfft.WithRanks(4), ftfft.WithProtection(ftfft.OnlineABFT)}},
 		{"nd3", 16 * 8 * 12, []ftfft.Option{ftfft.WithDims(16, 8, 12), ftfft.WithRanks(4), ftfft.WithProtection(ftfft.OnlineABFTMemory)}},
 		{"seq", 512, []ftfft.Option{ftfft.WithProtection(ftfft.OnlineABFTMemory)}},
 	} {
@@ -186,7 +186,7 @@ func TestSharedExecutorAcrossPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid, err := ftfft.New(16*16, ftfft.WithShape(16, 16), ftfft.WithRanks(2), ftfft.WithExecutor(ex))
+	grid, err := ftfft.New(16*16, ftfft.WithDims(16, 16), ftfft.WithRanks(2), ftfft.WithExecutor(ex))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestBatchCancellationStopsSubmission(t *testing.T) {
 	for _, opts := range [][]ftfft.Option{
 		{ftfft.WithRanks(4)},
 		{ftfft.WithProtection(ftfft.OnlineABFTMemory)},
-		{ftfft.WithShape(16, 16)},
+		{ftfft.WithDims(16, 16)},
 	} {
 		n := 256
 		tr, err := ftfft.New(n, opts...)

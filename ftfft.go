@@ -1,7 +1,6 @@
 package ftfft
 
 import (
-	"context"
 	"fmt"
 
 	"ftfft/internal/core"
@@ -89,138 +88,3 @@ type Report = core.Report
 // ErrUncorrectable is returned when the retry budget was exhausted without
 // producing a verified result.
 var ErrUncorrectable = core.ErrUncorrectable
-
-// Options configures a Plan.
-//
-// Deprecated: use New's functional options (WithProtection, WithInjector,
-// WithEtaScale, WithMaxRetries).
-type Options struct {
-	// Protection selects the fault-tolerance scheme. Default None.
-	Protection Protection
-	// Injector, when non-nil, corrupts data at the scheme's fault sites —
-	// the mechanism behind every fault-injection experiment. nil means no
-	// injected faults (real soft errors are, of course, still detected).
-	Injector Injector
-	// EtaScale scales the §8 round-off detection thresholds; 0 means 1.
-	// Raising it trades fault coverage for fewer false alarms.
-	EtaScale float64
-	// MaxRetries caps recomputation attempts per protected unit; 0 means 3.
-	MaxRetries int
-}
-
-// Plan computes protected DFTs of one fixed size.
-//
-// Deprecated: use New, which returns the unified cancellable Transform.
-// A Plan is now a thin shim over the same executor and is safe for
-// concurrent use (Convolve excepted: it owns plan-level scratch).
-type Plan struct {
-	t      *seqTransform
-	fa, fb []complex128 // Convolve spectra scratch, lazily sized
-}
-
-// NewPlan creates a plan for n-point transforms. Online protection levels
-// require a composite n (the paper's two-layer decomposition); powers of two
-// are ideal.
-//
-// Deprecated: use New(n, WithProtection(...), ...).
-func NewPlan(n int, opts Options) (*Plan, error) {
-	t, err := newSeqTransform(n, config{
-		protection: opts.Protection,
-		injector:   opts.Injector,
-		etaScale:   opts.EtaScale,
-		maxRetries: opts.MaxRetries,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{t: t}, nil
-}
-
-// N returns the transform size.
-func (p *Plan) N() int { return p.t.Len() }
-
-// Forward computes X_j = Σ_t x_t·exp(-2πi·jt/N) from src into dst, both of
-// length N and non-overlapping. When memory protection is active and an
-// input memory fault is detected, src is repaired in place.
-func (p *Plan) Forward(dst, src []complex128) (Report, error) {
-	return p.t.Forward(context.Background(), dst, src)
-}
-
-// Inverse computes the inverse DFT (with 1/N normalization) under the same
-// protection, via the conjugation identity IDFT(x) = conj(DFT(conj(x)))/N —
-// so the entire ABFT machinery guards the inverse path too.
-func (p *Plan) Inverse(dst, src []complex128) (Report, error) {
-	return p.t.Inverse(context.Background(), dst, src)
-}
-
-// Convolve computes the circular convolution of a and b (each length N)
-// into dst via three protected transforms, reusing the plan and its scratch
-// spectra — the steady-state path for convolution-heavy workloads that the
-// package-level Convolve helper routes through. dst may alias a or b.
-func (p *Plan) Convolve(dst, a, b []complex128) (Report, error) {
-	n := p.t.Len()
-	if len(dst) < n || len(a) < n || len(b) < n {
-		return Report{}, fmt.Errorf("ftfft: convolution buffers too short: dst=%d a=%d b=%d, need %d", len(dst), len(a), len(b), n)
-	}
-	if p.fa == nil {
-		p.fa = make([]complex128, n)
-		p.fb = make([]complex128, n)
-	}
-	var total Report
-	rep, err := p.t.Forward(context.Background(), p.fa, a)
-	total.Add(rep)
-	if err != nil {
-		return total, err
-	}
-	rep, err = p.t.Forward(context.Background(), p.fb, b)
-	total.Add(rep)
-	if err != nil {
-		return total, err
-	}
-	for i := 0; i < n; i++ {
-		p.fa[i] *= p.fb[i]
-	}
-	rep, err = p.t.Inverse(context.Background(), dst, p.fa)
-	total.Add(rep)
-	return total, err
-}
-
-// Forward is a one-shot convenience: it plans, transforms, and returns a
-// fresh output slice. Transform-many workloads should plan once with New.
-func Forward(x []complex128, opts Options) ([]complex128, Report, error) {
-	p, err := NewPlan(len(x), opts)
-	if err != nil {
-		return nil, Report{}, err
-	}
-	dst := make([]complex128, len(x))
-	rep, err := p.Forward(dst, x)
-	return dst, rep, err
-}
-
-// Inverse is the one-shot inverse counterpart of Forward.
-func Inverse(x []complex128, opts Options) ([]complex128, Report, error) {
-	p, err := NewPlan(len(x), opts)
-	if err != nil {
-		return nil, Report{}, err
-	}
-	dst := make([]complex128, len(x))
-	rep, err := p.Inverse(dst, x)
-	return dst, rep, err
-}
-
-// Convolve returns the circular convolution of a and b (equal lengths) via
-// three protected transforms. It routes through a plan-level Convolve;
-// convolution-heavy workloads should hold a Plan and call its Convolve to
-// amortize planning and scratch.
-func Convolve(a, b []complex128, opts Options) ([]complex128, Report, error) {
-	if len(a) != len(b) {
-		return nil, Report{}, fmt.Errorf("ftfft: convolution operands differ in length: %d vs %d", len(a), len(b))
-	}
-	p, err := NewPlan(len(a), opts)
-	if err != nil {
-		return nil, Report{}, err
-	}
-	out := make([]complex128, len(a))
-	rep, err := p.Convolve(out, a, b)
-	return out, rep, err
-}

@@ -37,13 +37,39 @@ func maxAbs(a []complex128) float64 {
 	return m
 }
 
+// transformOnce plans a len(x)-point transform and runs one Forward (or
+// Inverse) of a copy of x, returning the output, report and call error.
+func transformOnce(t *testing.T, x []complex128, inverse bool, opts ...ftfft.Option) ([]complex128, ftfft.Report, error) {
+	t.Helper()
+	tr, err := ftfft.New(len(x), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]complex128, len(x))
+	src := append([]complex128(nil), x...)
+	if inverse {
+		rep, err := tr.Inverse(bg, dst, src)
+		return dst, rep, err
+	}
+	rep, err := tr.Forward(bg, dst, src)
+	return dst, rep, err
+}
+
 func TestForwardMatchesDFTAllProtections(t *testing.T) {
 	n := 512
 	x := workload.Uniform(1, n)
 	want := dft.Transform(x)
 	tol := 1e-8 * float64(n) * (1 + maxAbs(want))
 	for _, prot := range allProtections {
-		got, rep, err := ftfft.Forward(append([]complex128(nil), x...), ftfft.Options{Protection: prot})
+		tr, err := ftfft.New(n, ftfft.WithProtection(prot))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Len() != n || tr.Ranks() != 1 || tr.Protection() != prot {
+			t.Fatalf("%v: accessors Len=%d Ranks=%d Protection=%v", prot, tr.Len(), tr.Ranks(), tr.Protection())
+		}
+		got := make([]complex128, n)
+		rep, err := tr.Forward(bg, got, x)
 		if err != nil {
 			t.Fatalf("%v: %v", prot, err)
 		}
@@ -60,16 +86,12 @@ func TestInverseRoundTrip(t *testing.T) {
 	n := 1024
 	x := workload.Normal(2, n)
 	for _, prot := range []ftfft.Protection{ftfft.None, ftfft.OnlineABFTMemory} {
-		p, err := ftfft.NewPlan(n, ftfft.Options{Protection: prot})
+		X, _, err := transformOnce(t, x, false, ftfft.WithProtection(prot))
 		if err != nil {
 			t.Fatal(err)
 		}
-		X := make([]complex128, n)
-		y := make([]complex128, n)
-		if _, err := p.Forward(X, x); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.Inverse(y, X); err != nil {
+		y, _, err := transformOnce(t, X, true, ftfft.WithProtection(prot))
+		if err != nil {
 			t.Fatal(err)
 		}
 		if d := maxAbsDiff(y, x); d > 1e-9*float64(n)*(1+maxAbs(x)) {
@@ -82,7 +104,7 @@ func TestInverseMatchesDirectIDFT(t *testing.T) {
 	n := 256
 	x := workload.Uniform(3, n)
 	want := dft.Inverse(x)
-	got, rep, err := ftfft.Inverse(x, ftfft.Options{Protection: ftfft.OnlineABFTMemory})
+	got, rep, err := transformOnce(t, x, true, ftfft.WithProtection(ftfft.OnlineABFTMemory))
 	if err != nil || !rep.Clean() {
 		t.Fatalf("err=%v rep=%+v", err, rep)
 	}
@@ -99,10 +121,7 @@ func TestFaultInjectionRecoveryThroughPublicAPI(t *testing.T) {
 		ftfft.Fault{Site: ftfft.SiteSubFFT1, Rank: ftfft.AnyRank, Occurrence: 3, Index: -1, Mode: ftfft.AddConstant, Value: 7},
 		ftfft.Fault{Site: ftfft.SiteInputMemory, Rank: ftfft.AnyRank, Index: 100, Mode: ftfft.SetConstant, Value: -5},
 	)
-	got, rep, err := ftfft.Forward(append([]complex128(nil), x...), ftfft.Options{
-		Protection: ftfft.OnlineABFTMemory,
-		Injector:   sched,
-	})
+	got, rep, err := transformOnce(t, x, false, ftfft.WithProtection(ftfft.OnlineABFTMemory), ftfft.WithInjector(sched))
 	if err != nil {
 		t.Fatalf("%v (%+v)", err, rep)
 	}
@@ -120,60 +139,35 @@ func TestFaultInjectionRecoveryThroughPublicAPI(t *testing.T) {
 	}
 }
 
-func TestConvolveTheorem(t *testing.T) {
-	n := 256
-	a := workload.Uniform(5, n)
-	b := workload.GaussianPulse(n, n/2, 8)
-	got, rep, err := ftfft.Convolve(a, b, ftfft.Options{Protection: ftfft.OnlineABFTMemory})
-	if err != nil || !rep.Clean() {
-		t.Fatalf("err=%v rep=%+v", err, rep)
-	}
-	// Direct O(n²) circular convolution.
-	want := make([]complex128, n)
-	for i := 0; i < n; i++ {
-		var s complex128
-		for j := 0; j < n; j++ {
-			s += a[j] * b[(i-j+n)%n]
-		}
-		want[i] = s
-	}
-	if d := maxAbsDiff(got, want); d > 1e-8*float64(n)*(1+maxAbs(want)) {
-		t.Fatalf("convolution diff %g", d)
-	}
-	if _, _, err := ftfft.Convolve(a, b[:128], ftfft.Options{}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}
-
+// TestParallelPlanPublicAPI runs the six-step parallel transform under every
+// protection level with a parallel formulation and checks it against the
+// direct DFT; the offline levels have none and must be rejected.
 func TestParallelPlanPublicAPI(t *testing.T) {
 	n, p := 4096, 8
 	x := workload.Uniform(6, n)
 	want := dft.Transform(x)
-	for _, opts := range []ftfft.ParallelOptions{
-		{},
-		{Optimized: true},
-		{Protected: true},
-		{Protected: true, Optimized: true},
-	} {
-		pp, err := ftfft.NewParallelPlan(n, p, opts)
+	for _, prot := range []ftfft.Protection{ftfft.None, ftfft.OnlineABFT, ftfft.OnlineABFTMemoryNaive} {
+		tr, err := ftfft.New(n, ftfft.WithRanks(p), ftfft.WithProtection(prot))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pp.N() != n || pp.Ranks() != p {
-			t.Fatalf("accessors: %d %d", pp.N(), pp.Ranks())
+		if tr.Len() != n || tr.Ranks() != p {
+			t.Fatalf("accessors: Len=%d Ranks=%d", tr.Len(), tr.Ranks())
 		}
 		dst := make([]complex128, n)
-		src := append([]complex128(nil), x...)
-		rep, err := pp.Forward(dst, src)
+		rep, err := tr.Forward(bg, dst, append([]complex128(nil), x...))
 		if err != nil {
-			t.Fatalf("%+v: %v (%+v)", opts, err, rep)
+			t.Fatalf("%v: %v (%+v)", prot, err, rep)
 		}
 		if d := maxAbsDiff(dst, want); d > 1e-8*float64(n)*(1+maxAbs(want)) {
-			t.Errorf("%+v: diff %g", opts, d)
+			t.Errorf("%v: diff %g", prot, d)
 		}
 	}
-	if _, err := ftfft.NewParallelPlan(100, 3, ftfft.ParallelOptions{}); err == nil {
+	if _, err := ftfft.New(100, ftfft.WithRanks(3)); err == nil {
 		t.Fatal("bad geometry accepted")
+	}
+	if _, err := ftfft.New(n, ftfft.WithRanks(p), ftfft.WithProtection(ftfft.OfflineABFT)); err == nil {
+		t.Fatal("offline protection has no parallel formulation; New must reject it")
 	}
 }
 
@@ -184,13 +178,7 @@ func TestParallelFaultRecoveryPublicAPI(t *testing.T) {
 	sched := ftfft.NewFaultSchedule(2,
 		ftfft.Fault{Site: ftfft.SiteMessage, Rank: 3, Occurrence: 2, Index: -1, Mode: ftfft.AddConstant, Value: 4},
 	)
-	pp, err := ftfft.NewParallelPlan(n, p, ftfft.ParallelOptions{Protected: true, Optimized: true, Injector: sched})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]complex128, n)
-	src := append([]complex128(nil), x...)
-	rep, err := pp.Forward(dst, src)
+	dst, rep, err := transformOnce(t, x, false, ftfft.WithRanks(p), ftfft.WithProtection(ftfft.OnlineABFTMemory), ftfft.WithInjector(sched))
 	if err != nil {
 		t.Fatalf("%v (%+v)", err, rep)
 	}
@@ -211,9 +199,8 @@ func TestUncorrectableSurfacesAsError(t *testing.T) {
 		ftfft.Fault{Site: ftfft.SiteSubFFT1, Rank: ftfft.AnyRank, Occurrence: 3, Index: 0, Mode: ftfft.AddConstant, Value: 100},
 		ftfft.Fault{Site: ftfft.SiteSubFFT1, Rank: ftfft.AnyRank, Occurrence: 4, Index: 0, Mode: ftfft.AddConstant, Value: 100},
 	)
-	_, rep, err := ftfft.Forward(workload.Uniform(8, n), ftfft.Options{
-		Protection: ftfft.OnlineABFT, Injector: sched, MaxRetries: 3,
-	})
+	_, rep, err := transformOnce(t, workload.Uniform(8, n), false,
+		ftfft.WithProtection(ftfft.OnlineABFT), ftfft.WithInjector(sched), ftfft.WithMaxRetries(3))
 	if !errors.Is(err, ftfft.ErrUncorrectable) {
 		t.Fatalf("want ErrUncorrectable, got %v", err)
 	}
@@ -234,10 +221,10 @@ func TestProtectionStringer(t *testing.T) {
 }
 
 func TestOnlineRejectsPrimeSizes(t *testing.T) {
-	if _, err := ftfft.NewPlan(101, ftfft.Options{Protection: ftfft.OnlineABFT}); err == nil {
+	if _, err := ftfft.New(101, ftfft.WithProtection(ftfft.OnlineABFT)); err == nil {
 		t.Fatal("online plan on prime size must fail")
 	}
-	if _, err := ftfft.NewPlan(101, ftfft.Options{Protection: ftfft.OfflineABFT}); err != nil {
+	if _, err := ftfft.New(101, ftfft.WithProtection(ftfft.OfflineABFT)); err != nil {
 		t.Fatalf("offline plan on prime size should work: %v", err)
 	}
 }

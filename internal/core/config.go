@@ -88,16 +88,9 @@ type Config struct {
 	// EtaScale multiplies all automatically derived thresholds
 	// (experiments use it to trade throughput against coverage). 0 means 1.
 	EtaScale float64
-	// BatchSize is s, the number of second-layer k-point FFTs processed
-	// per batch (Fig. 2/3). 0 means a cache-friendly default.
-	BatchSize int
 	// MaxRetries caps recomputation attempts per protected unit before the
 	// transform is declared uncorrectable. 0 means 3.
 	MaxRetries int
-	// Kernel forces the fft execution engine for the sub-FFT plans; the zero
-	// value (fft.KernelAuto) keeps the planner's heuristic. Set by the
-	// autotuner under measured tuning.
-	Kernel fft.Kernel
 	// ConvLen, when non-nil, chooses the Bluestein convolution length per
 	// leaf size for the sub-FFT plans (see fft.PlanConfig.ConvLen); nil keeps
 	// the heuristic chooser.
@@ -106,14 +99,7 @@ type Config struct {
 
 // planConfig is the fft-level knob view of the Config.
 func (c Config) planConfig() fft.PlanConfig {
-	return fft.PlanConfig{Kernel: c.Kernel, ConvLen: c.ConvLen}
-}
-
-func (c Config) batchSize() int {
-	if c.BatchSize > 0 {
-		return c.BatchSize
-	}
-	return 8
+	return fft.PlanConfig{ConvLen: c.ConvLen}
 }
 
 func (c Config) maxRetries() int {

@@ -46,17 +46,14 @@ func Fig7b(o Options) error {
 func overheadRows(o Options, schemes []core.Config) error {
 	for _, n := range o.Sizes {
 		src := workload.Uniform(int64(n), n)
-		base, err := timeScheme(n, core.Config{Scheme: core.Plain}, src, o.Runs)
+		cfgs := append([]core.Config{{Scheme: core.Plain}}, schemes...)
+		ts, err := timeSchemes(n, cfgs, src, o.Runs)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(o.Out, "2^%-8d", log2(n))
-		for _, cfg := range schemes {
-			t, err := timeScheme(n, cfg, src, o.Runs)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(o.Out, " %11.1f%%", overheadPct(t, base))
+		for _, t := range ts[1:] {
+			fmt.Fprintf(o.Out, " %11.1f%%", overheadPct(t, ts[0]))
 		}
 		fmt.Fprintln(o.Out)
 	}

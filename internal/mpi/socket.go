@@ -483,11 +483,13 @@ func (t *HubTransport) readLoop(src int) {
 			if t.conns[h.dst] != nil {
 				var hdr [frameHeaderLen]byte
 				putHeader(hdr[:], h)
+				// Count before forwarding: once the frame is on the wire its
+				// receiver may snapshot WireStats, and must see it counted.
+				t.stats.add(false, frameHeaderLen+len(body))
 				if err := t.conns[h.dst].writeRaw(hdr[:], body); err != nil {
 					t.connLost(h.dst, err)
 					return
 				}
-				t.stats.add(false, frameHeaderLen+len(body))
 			}
 		case frameAbort:
 			t.remote.Store(true)

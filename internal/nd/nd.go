@@ -47,7 +47,7 @@ type Config struct {
 	MaxPooled int
 	// TileElems overrides the tile working-set target in complex128
 	// elements (0 means DefaultTileElems). Tests use it to force multi-tile
-	// schedules on small shapes; the autotuner sweeps TileLadder.
+	// schedules on small shapes; benchmarks sweep TileLadder.
 	TileElems int
 }
 
@@ -59,14 +59,14 @@ const DefaultMaxPooled = 4
 // lines of one tile survive all of a protected scheme's passes over its
 // strided lines — the checksum sweeps re-read each line several times, and
 // oversized tiles measurably lose that reuse. The value was picked by
-// BenchmarkTileSize on one host; measured tuning sweeps the same TileLadder
-// per shape instead of trusting this constant.
+// BenchmarkTileSize on one host; the ladder around it spreads by only ~5%,
+// inside run-to-run noise, so the tile size is fixed rather than tuned.
 const DefaultTileElems = 1 << 12
 
-// TileLadder returns the TileElems candidates the autotuner measures — the
-// L1/L2-scaled ladder BenchmarkTileSize sweeps (32 KiB … 1 MiB working sets
-// around the DefaultTileElems pick), shared so the benchmark, the default,
-// and the tuner cannot drift apart.
+// TileLadder returns the TileElems candidates BenchmarkTileSize sweeps —
+// the L1/L2-scaled ladder of 32 KiB … 1 MiB working sets around the
+// DefaultTileElems pick — shared so every benchmark of the tile size
+// prices the same candidates.
 func TileLadder() []int {
 	return []int{1 << 11, 1 << 12, 1 << 13, 1 << 14, 1 << 16}
 }
@@ -183,7 +183,13 @@ func New(dims []int, cfg Config) (*Plan, error) {
 		})
 		inner *= length
 	}
-	p.Retile(tileElems)
+	// Cache blocking only groups independent lines — it never changes any
+	// line's arithmetic — so outputs are bit-identical across tile sizes.
+	for i := range p.passes {
+		ps := &p.passes[i]
+		ps.block = min(max(1, tileElems/ps.length), ps.inner)
+		ps.tiles = (ps.inner + ps.block - 1) / ps.block
+	}
 	// Build the first context eagerly: it validates every axis length
 	// against the protection scheme and pre-warms the pool.
 	cc, err := p.newCtx()
@@ -194,33 +200,11 @@ func New(dims []int, cfg Config) (*Plan, error) {
 	return p, nil
 }
 
-// Retile recomputes every pass's cache blocking for a new tile working-set
-// target (≤ 0 means DefaultTileElems). Blocking only groups independent
-// lines — it never changes any line's arithmetic — so outputs are
-// bit-identical across tile sizes; the autotuner exploits that to sweep
-// TileLadder on the finished plan at build time. Not safe to call
-// concurrently with transforms.
-func (p *Plan) Retile(tileElems int) {
-	if tileElems <= 0 {
-		tileElems = DefaultTileElems
-	}
-	for i := range p.passes {
-		ps := &p.passes[i]
-		block := max(1, tileElems/ps.length)
-		block = min(block, ps.inner)
-		ps.block = block
-		ps.tiles = (ps.inner + block - 1) / block
-	}
-}
-
 // Dims returns a copy of the planned shape.
 func (p *Plan) Dims() []int { return append([]int(nil), p.dims...) }
 
 // Len returns the total number of points per transform.
 func (p *Plan) Len() int { return p.n }
-
-// Workers returns the per-pass dispatch width.
-func (p *Plan) Workers() int { return p.workers }
 
 // PooledContexts reports how many idle call contexts the plan currently
 // retains and the configured freelist cap the count never exceeds.

@@ -238,12 +238,6 @@ func (pl *Plan) MaxInflight() int {
 // of ranks local to this process (p in-process, usually 1 for a socket root).
 func (pl *Plan) Gang() int { return pl.gang }
 
-// N returns the global transform size; P the number of ranks.
-func (pl *Plan) N() int { return pl.n }
-
-// P returns the number of ranks.
-func (pl *Plan) P() int { return pl.p }
-
 // Transform computes the forward DFT of src into dst using p ranks.
 // src and dst have length N and belong to the root rank's process; every
 // other rank works on a private q-point slice, distributed by an explicit

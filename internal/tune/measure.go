@@ -52,12 +52,12 @@ func Measure(iters int, fn func()) time.Duration {
 
 // MeasureConv times a leaf-point pure-Bluestein forward transform for every
 // legal convolution length (fft.ConvCandidates — the same ladder the
-// convCost heuristic scores) and returns the fastest, or 0 when leaf is not
-// a Bluestein leaf size. The candidate plans are transient: measurement cost
+// convCost heuristic scores) and returns the fastest, or 0 when leaf has no
+// wisdom key (KeyFor). The candidate plans are transient: measurement cost
 // is confined to plan build, and the winner is rebuilt into the caller's
 // plan, so nothing measured leaks into steady state.
 func MeasureConv(leaf int) int {
-	if leaf < 2 || fft.BluesteinLeaf(leaf) != leaf {
+	if _, ok := KeyFor(leaf); !ok {
 		return 0
 	}
 	cands := fft.ConvCandidates(leaf)

@@ -1,112 +1,64 @@
-// Package tune is the plan-time autotuner: the FFTW-style measured planner
-// beneath the public WithTuning option. Every performance-critical choice a
-// plan makes — flat vs recursive kernel, Bluestein convolution length, nd
-// tile size, ForwardBatch epoch window — is a knob with a small legal
-// candidate set; under measured tuning the plan builder times the candidates
-// on the host and the winner is remembered in a process-wide bounded wisdom
-// table, exportable as a versioned checksummed byte blob so a fleet tunes
-// once on a canary and ships the file.
+// Package tune is the plan-time autotuner beneath the public WithTuning
+// option, modelled on FFTW's measured planning. It tunes one knob: the
+// Bluestein convolution length. A leaf size with a prime factor beyond the
+// kernel's butterflies runs as a circular convolution of some length
+// m ≥ 2·leaf−1, and the legal lengths (fft.ConvCandidates) differ by about
+// 1.6× in speed on one host while the convCost heuristic ranks them blind.
+// Under measured tuning the plan builder times the ladder and the winner is
+// remembered in a process-wide bounded wisdom table, exportable as a
+// versioned checksummed byte blob so a fleet tunes once on a canary and
+// ships the file. Other plan choices (flat vs recursive kernel, nd tile
+// size, ForwardBatch window) are not tuned: their candidates never
+// separated beyond noise, or always resolved to the planner's default.
 //
 // Determinism contract: wisdom stores *choices*, not timings. Two plans
 // built from the same wisdom table make identical choices and therefore
 // produce bit-identical outputs — measurement noise can change which
 // candidate wins on a given run, never what a recorded winner computes.
-// Estimate-mode plans ignore wisdom entirely, so the default heuristics stay
-// bit-identical to their pre-tuning behavior.
+// The tuning policy — heuristics only, measure on a miss, or follow wisdom
+// without measuring — is the planner's (ftfft.TuningMode); plans built with
+// the default heuristics never consult the table.
 package tune
 
-import "sync"
+import (
+	"slices"
+	"sync"
 
-// Mode is the planner's tuning policy.
-type Mode uint8
-
-const (
-	// Estimate keeps the analytic heuristics and ignores wisdom entirely —
-	// the default, bit-identical to untuned behavior.
-	Estimate Mode = iota
-	// Measured times the legal candidates for each knob at plan build and
-	// records the winners as wisdom; subsequent builds hit the table.
-	Measured
-	// Wisdom consults the table but never measures on a miss (falling back
-	// to the heuristics) — the serve-side policy: a service applies imported
-	// wisdom deterministically without pausing a request to benchmark.
-	Wisdom
+	"ftfft/internal/fft"
 )
 
-// Knob identifies one tunable plan choice.
-type Knob uint8
+// MaxLeaf bounds the leaf sizes wisdom can key. Every legal convolution
+// length for a leaf ≤ MaxLeaf is below 4·MaxLeaf = 2^30, so the ladder is
+// computed without overflow on every platform; larger leaves (transforms of
+// at least 4 GiB) go untuned.
+const MaxLeaf = 1 << 28
 
-const (
-	// KnobKernel is the fft engine choice (flat vs recursive) for the
-	// sub-FFT plans; value is the fft.Kernel constant (1 flat, 2 recursive).
-	KnobKernel Knob = 1 + iota
-	// KnobConv is the Bluestein convolution length, keyed by leaf size
-	// (an engine property: every plan sharing the leaf shares the choice);
-	// value is the chosen length m ≥ 2·leaf−1.
-	KnobConv
-	// KnobTile is the nd cache-tile working set in complex128 elements,
-	// keyed by the transform shape; value is the TileElems choice.
-	KnobTile
-	// KnobWindow is the ForwardBatch epoch-pipelining window for parallel
-	// plans; value is the window depth (1, 2 or 4).
-	KnobWindow
+// Key is a wisdom key: the Bluestein leaf size a convolution length was
+// measured for. The choice is an engine property, so every plan that
+// carries the leaf shares the entry.
+type Key int
 
-	knobEnd // one past the last valid knob
-)
-
-// MaxDims bounds the dims a wisdom key can carry, matching the serve wire's
-// dimension cap (mpi.MaxServeDims); higher-rank shapes simply go untuned.
-const MaxDims = 8
-
-// Key identifies one knob instance: the knob plus the plan geometry it was
-// measured under. The zero Dims array means a 1-D (or shape-free) key.
-type Key struct {
-	Knob   Knob
-	Real   bool
-	Scheme uint8 // protection scheme ordinal; 0 for engine-level knobs
-	N      int64
-	Dims   [MaxDims]int32
+// KeyFor returns the wisdom key for a leaf size. ok is false unless leaf is
+// its own Bluestein leaf (fft.BluesteinLeaf(leaf) == leaf) and at most
+// MaxLeaf: other sizes have no convolution knob, or go untuned.
+func KeyFor(leaf int) (k Key, ok bool) {
+	if leaf < 2 || leaf > MaxLeaf || fft.BluesteinLeaf(leaf) != leaf {
+		return 0, false
+	}
+	return Key(leaf), true
 }
 
-// KeyFor assembles a wisdom key, folding a dims slice into the fixed array.
-// ok is false when the shape has more than MaxDims axes — such plans go
-// untuned rather than aliasing another key.
-func KeyFor(knob Knob, n int, dims []int, scheme uint8, real bool) (k Key, ok bool) {
-	if len(dims) > MaxDims {
-		return Key{}, false
+// legal reports whether the table may hold (k, m): k is a wisdom key
+// (KeyFor) and m one of the leaf's convolution lengths (fft.ConvCandidates).
+func legal(k Key, m int) bool {
+	if _, ok := KeyFor(int(k)); !ok {
+		return false
 	}
-	k = Key{Knob: knob, Real: real, Scheme: scheme, N: int64(n)}
-	for i, d := range dims {
-		k.Dims[i] = int32(d)
-	}
-	return k, true
-}
-
-// keyLess is the canonical wisdom ordering: the order Export writes and
-// Import demands, making the wire encoding of any accepted table unique.
-func keyLess(a, b Key) bool {
-	if a.Knob != b.Knob {
-		return a.Knob < b.Knob
-	}
-	if a.Real != b.Real {
-		return !a.Real
-	}
-	if a.Scheme != b.Scheme {
-		return a.Scheme < b.Scheme
-	}
-	if a.N != b.N {
-		return a.N < b.N
-	}
-	for i := range a.Dims {
-		if a.Dims[i] != b.Dims[i] {
-			return a.Dims[i] < b.Dims[i]
-		}
-	}
-	return false
+	return slices.Contains(fft.ConvCandidates(int(k)), m)
 }
 
 // DefaultCap is the wisdom table's entry cap: far above any realistic plan
-// mix (a few knobs per distinct geometry) while bounding a pathological
+// mix (one entry per distinct Bluestein leaf) while bounding a pathological
 // caller the way the fft kernel cache bounds plan tables.
 const DefaultCap = 512
 
@@ -115,7 +67,7 @@ const DefaultCap = 512
 type Table struct {
 	mu    sync.Mutex
 	cap   int
-	m     map[Key]int64
+	m     map[Key]int
 	order []Key // insertion order, for FIFO eviction past cap
 	epoch uint64
 }
@@ -126,25 +78,31 @@ func NewTable(cap int) *Table {
 	if cap < 1 {
 		cap = DefaultCap
 	}
-	return &Table{cap: cap, m: make(map[Key]int64)}
+	return &Table{cap: cap, m: make(map[Key]int)}
 }
 
-// Lookup returns the recorded choice for k.
-func (t *Table) Lookup(k Key) (int64, bool) {
+// Lookup returns the recorded convolution length for k.
+func (t *Table) Lookup(k Key) (int, bool) {
 	t.mu.Lock()
-	v, ok := t.m[k]
+	m, ok := t.m[k]
 	t.mu.Unlock()
-	return v, ok
+	return m, ok
 }
 
-// Record stores a measured winner. Values ≤ 0 are ignored (no knob has a
-// non-positive choice). When the table is full the oldest entry is evicted,
-// mirroring the fft kernel cache's bound.
-func (t *Table) Record(k Key, v int64) {
-	if v <= 0 {
+// Record stores a measured winner. An illegal pair — including m = 0,
+// "nothing measured" — is ignored, so every entry stays importable.
+func (t *Table) Record(k Key, m int) {
+	if !legal(k, m) {
 		return
 	}
 	t.mu.Lock()
+	t.put(k, m)
+	t.mu.Unlock()
+}
+
+// put stores one entry; the caller holds t.mu. When the table is full the
+// oldest entry is evicted, mirroring the fft kernel cache's bound.
+func (t *Table) put(k Key, m int) {
 	if _, exists := t.m[k]; !exists {
 		if len(t.order) >= t.cap {
 			oldest := t.order[0]
@@ -153,8 +111,7 @@ func (t *Table) Record(k Key, v int64) {
 		}
 		t.order = append(t.order, k)
 	}
-	t.m[k] = v
-	t.mu.Unlock()
+	t.m[k] = m
 }
 
 // Len reports the current entry count.
@@ -177,7 +134,7 @@ func (t *Table) Epoch() uint64 {
 // Forget clears the table and bumps the epoch.
 func (t *Table) Forget() {
 	t.mu.Lock()
-	t.m = make(map[Key]int64)
+	t.m = make(map[Key]int)
 	t.order = nil
 	t.epoch++
 	t.mu.Unlock()
@@ -187,10 +144,10 @@ func (t *Table) Forget() {
 var global = NewTable(DefaultCap)
 
 // Lookup consults the process-wide table.
-func Lookup(k Key) (int64, bool) { return global.Lookup(k) }
+func Lookup(k Key) (int, bool) { return global.Lookup(k) }
 
 // Record stores into the process-wide table.
-func Record(k Key, v int64) { global.Record(k, v) }
+func Record(k Key, m int) { global.Record(k, m) }
 
 // Epoch returns the process-wide table's import generation.
 func Epoch() uint64 { return global.Epoch() }

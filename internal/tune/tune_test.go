@@ -2,98 +2,164 @@ package tune
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math"
+	"strings"
 	"testing"
 
 	"ftfft/internal/fft"
 )
 
-// sampleKeys covers every knob and key shape: engine-level (no scheme, no
-// dims), scheme-keyed 1-D, real-input, and multi-dim up to the MaxDims cap.
-func sampleKeys() []Key {
-	ks := []Key{
-		{Knob: KnobKernel, N: 4096, Scheme: 2},
-		{Knob: KnobKernel, N: 4096, Scheme: 2, Real: true},
-		{Knob: KnobConv, N: 4099},
-		{Knob: KnobConv, N: 40961},
-		{Knob: KnobWindow, N: 1 << 14, Scheme: 2},
-	}
-	if k, ok := KeyFor(KnobTile, 512*512, []int{512, 512}, 1, false); ok {
-		ks = append(ks, k)
-	}
-	if k, ok := KeyFor(KnobTile, 1<<18, []int{64, 64, 64}, 2, false); ok {
-		ks = append(ks, k)
-	}
-	if k, ok := KeyFor(KnobTile, 256, []int{2, 2, 2, 2, 2, 2, 2, 2}, 0, false); ok {
-		ks = append(ks, k)
+// leaves returns the first count Bluestein leaf sizes from 37 up (every
+// odd size with no factor ≤ 31 — 37 is the smallest).
+func leaves(count int) []Key {
+	var ks []Key
+	for v := 37; len(ks) < count; v += 2 {
+		if k, ok := KeyFor(v); ok {
+			ks = append(ks, k)
+		}
 	}
 	return ks
 }
 
-// TestWisdomRoundTrip is the export∘import identity property: a table's
-// entries survive the wire byte-exactly across every key shape, and the
-// re-export of an imported blob reproduces it bit for bit.
-func TestWisdomRoundTrip(t *testing.T) {
-	src := NewTable(0)
-	for i, k := range sampleKeys() {
-		src.Record(k, int64(1000+i))
+// sampleTable records one legal length per leaf, walking each ladder so
+// different rungs are exercised, and returns the recorded choices.
+func sampleTable() (*Table, map[Key]int) {
+	tb := NewTable(0)
+	want := map[Key]int{}
+	for i, k := range append(leaves(6), 4099, 40961) {
+		ladder := fft.ConvCandidates(int(k))
+		m := ladder[i%len(ladder)]
+		tb.Record(k, m)
+		want[k] = m
 	}
-	blob := src.Export()
+	return tb, want
+}
+
+// blob builds a checksummed wisdom blob of the given version from raw
+// (leaf, m) pairs, bypassing the encoder's validity guarantees.
+func blob(version uint16, pairs ...[2]uint64) []byte {
+	buf := append([]byte(nil), wisdomMagic[:]...)
+	buf = binary.LittleEndian.AppendUint16(buf, version)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(pairs)))
+	for _, p := range pairs {
+		buf = binary.LittleEndian.AppendUint64(buf, p[0])
+		buf = binary.LittleEndian.AppendUint64(buf, p[1])
+	}
+	h := fnv.New64a()
+	h.Write(buf)
+	return binary.LittleEndian.AppendUint64(buf, h.Sum64())
+}
+
+// TestWisdomRoundTrip is the export∘import identity property: a table's
+// entries survive the wire byte-exactly, and the re-export of an imported
+// blob reproduces it bit for bit.
+func TestWisdomRoundTrip(t *testing.T) {
+	src, want := sampleTable()
+	data := src.Export()
 
 	dst := NewTable(0)
-	if err := dst.Import(blob); err != nil {
+	if err := dst.Import(data); err != nil {
 		t.Fatalf("Import: %v", err)
 	}
-	if dst.Len() != src.Len() {
-		t.Fatalf("imported %d entries, want %d", dst.Len(), src.Len())
+	if dst.Len() != len(want) {
+		t.Fatalf("imported %d entries, want %d", dst.Len(), len(want))
 	}
-	for i, k := range sampleKeys() {
-		v, ok := dst.Lookup(k)
-		if !ok || v != int64(1000+i) {
-			t.Fatalf("key %+v: got (%d, %v), want (%d, true)", k, v, ok, 1000+i)
+	for k, m := range want {
+		if got, ok := dst.Lookup(k); !ok || got != m {
+			t.Fatalf("leaf %d: got (%d, %v), want (%d, true)", k, got, ok, m)
 		}
 	}
-	if again := dst.Export(); !bytes.Equal(again, blob) {
-		t.Fatalf("re-export differs: %d bytes vs %d", len(again), len(blob))
+	if again := dst.Export(); !bytes.Equal(again, data) {
+		t.Fatalf("re-export differs: %d bytes vs %d", len(again), len(data))
 	}
 }
 
-// TestWisdomKeyForOverflow pins that shapes beyond MaxDims go untuned
-// instead of aliasing a truncated key.
+// TestWisdomKeyForOverflow pins which sizes have a wisdom key: only
+// Bluestein leaves up to MaxLeaf. Larger leaves go untuned instead of
+// walking a convolution ladder whose 2·leaf−1 can overflow.
 func TestWisdomKeyForOverflow(t *testing.T) {
-	dims := make([]int, MaxDims+1)
-	for i := range dims {
-		dims[i] = 2
+	for _, leaf := range []int{37, 1031, 4099} {
+		if _, ok := KeyFor(leaf); !ok {
+			t.Errorf("KeyFor(%d) refused a Bluestein leaf", leaf)
+		}
 	}
-	if _, ok := KeyFor(KnobTile, 1<<(MaxDims+1), dims, 0, false); ok {
-		t.Fatal("KeyFor accepted a shape beyond MaxDims")
+	for _, leaf := range []int{-1, 0, 1, 31, 4096, 3 * 1024, 2 * 4099, MaxLeaf + 1, math.MaxInt} {
+		if _, ok := KeyFor(leaf); ok {
+			t.Errorf("KeyFor(%d) accepted a size without a tunable leaf", leaf)
+		}
+	}
+	if m := fft.ConvCandidates(MaxLeaf); m[len(m)-1] >= 4*MaxLeaf {
+		t.Fatalf("largest candidate for MaxLeaf is %d, not below 4·MaxLeaf", m[len(m)-1])
 	}
 }
 
 // TestWisdomImportRejects pins the reject paths: corrupted checksum, bad
-// magic, truncation, non-canonical order, trailing bytes.
+// magic, truncation, trailing bytes, the retired version 1, non-canonical
+// order, and entries that would force an off-ladder plan — a leaf that is
+// not a Bluestein leaf or is past MaxLeaf, or a length that is not one of
+// the leaf's candidates (even one ≥ 2·leaf−1, prime, or huge).
 func TestWisdomImportRejects(t *testing.T) {
-	src := NewTable(0)
-	for i, k := range sampleKeys() {
-		src.Record(k, int64(1+i))
-	}
-	blob := src.Export()
+	src, _ := sampleTable()
+	data := src.Export()
 	cases := map[string][]byte{
 		"empty":     {},
-		"short":     blob[:10],
-		"truncated": blob[:len(blob)-9],
-		"trailing":  append(append([]byte{}, blob...), 0),
+		"short":     data[:10],
+		"truncated": data[:len(data)-9],
+		"trailing":  append(append([]byte{}, data...), 0),
+		"version1":  blob(1, [2]uint64{4099, 9216}),
+		"version3":  blob(3, [2]uint64{4099, 9216}),
+		"unsorted":  blob(wisdomVersion, [2]uint64{4099, 9216}, [2]uint64{1031, 2304}),
+		"duplicate": blob(wisdomVersion, [2]uint64{4099, 9216}, [2]uint64{4099, 9216}),
+		"pow2 leaf": blob(wisdomVersion, [2]uint64{4096, 8192}),
+		"zero leaf": blob(wisdomVersion, [2]uint64{0, 1}),
+		"huge leaf": blob(wisdomVersion, [2]uint64{math.MaxInt64, 1}),
+		"wrap leaf": blob(wisdomVersion, [2]uint64{math.MaxUint64, 1}),
+		"m=8200":    blob(wisdomVersion, [2]uint64{4099, 8200}),
+		"m=8209":    blob(wisdomVersion, [2]uint64{4099, 8209}), // prime: Bluestein inside Bluestein
+		"m=2^26":    blob(wisdomVersion, [2]uint64{4099, 1 << 26}),
+		"m=0":       blob(wisdomVersion, [2]uint64{4099, 0}),
+		"m too big": blob(wisdomVersion, [2]uint64{4099, math.MaxUint64}),
+		"mixed":     blob(wisdomVersion, [2]uint64{1031, 2304}, [2]uint64{4099, 8209}),
 	}
-	flipped := append([]byte{}, blob...)
+	past := MaxLeaf + 1 // odd; walk to the first Bluestein leaf beyond the bound
+	for fft.BluesteinLeaf(past) != past {
+		past += 2
+	}
+	cases["past MaxLeaf"] = blob(wisdomVersion, [2]uint64{uint64(past), uint64(fft.ConvCandidates(past)[0])})
+	flipped := append([]byte{}, data...)
 	flipped[len(flipped)/2] ^= 1
 	cases["bitflip"] = flipped
-	badMagic := append([]byte{}, blob...)
+	badMagic := append([]byte{}, data...)
 	badMagic[0] ^= 0xff
 	cases["magic"] = badMagic
 	for name, data := range cases {
-		if err := NewTable(0).Import(data); err == nil {
+		tb := NewTable(0)
+		if err := tb.Import(data); err == nil {
 			t.Errorf("%s: Import accepted a malformed blob", name)
+		} else if tb.Len() != 0 || tb.Epoch() != 0 {
+			t.Errorf("%s: rejected blob changed the table", name)
 		}
+	}
+	if err := NewTable(0).Import(cases["version1"]); !strings.Contains(err.Error(), "re-tune") {
+		t.Errorf("version-1 rejection does not say to re-tune: %v", err)
+	}
+	if err := NewTable(0).Import(blob(wisdomVersion, [2]uint64{1031, 2304}, [2]uint64{4099, 9216})); err != nil {
+		t.Fatalf("a legal hand-built blob was rejected: %v", err)
+	}
+}
+
+// TestWisdomRecordOffLadder pins that Record keeps the table importable:
+// lengths off the leaf's ladder are dropped.
+func TestWisdomRecordOffLadder(t *testing.T) {
+	tb := NewTable(0)
+	for _, m := range []int{0, 8200, 8209, 1 << 26} {
+		tb.Record(4099, m)
+	}
+	if tb.Len() != 0 {
+		t.Fatalf("Record stored an off-ladder length: %d entries", tb.Len())
 	}
 }
 
@@ -103,12 +169,12 @@ func TestWisdomImportRejects(t *testing.T) {
 func TestWisdomEpoch(t *testing.T) {
 	tb := NewTable(0)
 	e0 := tb.Epoch()
-	tb.Record(Key{Knob: KnobConv, N: 4099}, 16384)
+	tb.Record(4099, 16384)
 	if tb.Epoch() != e0 {
 		t.Fatal("Record bumped the epoch")
 	}
-	blob := tb.Export()
-	if err := tb.Import(blob); err != nil {
+	data := tb.Export()
+	if err := tb.Import(data); err != nil {
 		t.Fatal(err)
 	}
 	if tb.Epoch() != e0+1 {
@@ -128,9 +194,11 @@ func TestWisdomEpoch(t *testing.T) {
 // oversized import is rejected whole.
 func TestWisdomTableBounded(t *testing.T) {
 	const cap = 8
+	ks := leaves(3 * cap)
+	shortest := func(k Key) int { return fft.ConvCandidates(int(k))[0] }
 	tb := NewTable(cap)
-	for i := 0; i < 3*cap; i++ {
-		tb.Record(Key{Knob: KnobConv, N: int64(100 + i)}, int64(1+i))
+	for _, k := range ks {
+		tb.Record(k, shortest(k))
 		if tb.Len() > cap {
 			t.Fatalf("table grew to %d entries, cap %d", tb.Len(), cap)
 		}
@@ -138,16 +206,16 @@ func TestWisdomTableBounded(t *testing.T) {
 	if tb.Len() != cap {
 		t.Fatalf("table holds %d entries, want %d", tb.Len(), cap)
 	}
-	if _, ok := tb.Lookup(Key{Knob: KnobConv, N: 100}); ok {
+	if _, ok := tb.Lookup(ks[0]); ok {
 		t.Fatal("oldest entry survived eviction")
 	}
-	if _, ok := tb.Lookup(Key{Knob: KnobConv, N: int64(100 + 3*cap - 1)}); !ok {
+	if _, ok := tb.Lookup(ks[len(ks)-1]); !ok {
 		t.Fatal("newest entry missing")
 	}
 
 	big := NewTable(0)
-	for i := 0; i < cap+1; i++ {
-		big.Record(Key{Knob: KnobConv, N: int64(100 + i)}, 1)
+	for _, k := range ks[:cap+1] {
+		big.Record(k, shortest(k))
 	}
 	if err := tb.Import(big.Export()); err == nil {
 		t.Fatal("Import accepted a blob larger than the table cap")
@@ -155,29 +223,16 @@ func TestWisdomTableBounded(t *testing.T) {
 }
 
 // TestMeasureConvLegal pins that the measured winner is always a legal
-// candidate (m ≥ 2·leaf−1 from the shared ladder) and that non-Bluestein
-// sizes are refused — the tuner can pick a different winner than the
-// heuristic but never an illegal one.
+// candidate (one of the shared ladder's lengths m ≥ 2·leaf−1) and that
+// non-Bluestein sizes are refused — the tuner can pick a different winner
+// than the heuristic but never an illegal one.
 func TestMeasureConvLegal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs timing sweeps")
 	}
 	const leaf = 4099
-	m := MeasureConv(leaf)
-	if m == 0 {
-		t.Fatal("MeasureConv(4099) returned nothing")
-	}
-	legal := false
-	for _, c := range fft.ConvCandidates(leaf) {
-		if c == m {
-			legal = true
-		}
-	}
-	if !legal {
+	if m := MeasureConv(leaf); !legal(leaf, m) {
 		t.Fatalf("winner %d is not in ConvCandidates(%d) = %v", m, leaf, fft.ConvCandidates(leaf))
-	}
-	if m < 2*leaf-1 {
-		t.Fatalf("winner %d < 2n-1 = %d", m, 2*leaf-1)
 	}
 	for _, n := range []int{16, 1024, 3 * 1024} {
 		if got := MeasureConv(n); got != 0 {
@@ -204,7 +259,7 @@ func TestItersDeterministic(t *testing.T) {
 
 func ExampleTable() {
 	tb := NewTable(0)
-	k, _ := KeyFor(KnobConv, 4099, nil, 0, false)
+	k, _ := KeyFor(4099)
 	tb.Record(k, 16384)
 	blob := tb.Export()
 

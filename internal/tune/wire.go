@@ -4,32 +4,30 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 )
 
 // Wisdom wire format (little-endian), versioned and checksummed like the
 // serve wire's frames:
 //
 //	magic   [4]byte  "FTWS"
-//	version uint16   (currently 1)
+//	version uint16   (currently 2)
 //	count   uint32   entries that follow, ≤ the table cap
 //	entry × count:
-//	    knob   uint8   KnobKernel..KnobWindow
-//	    flags  uint8   bit0 = real-input plan; other bits reserved (zero)
-//	    scheme uint8   protection scheme ordinal
-//	    ndims  uint8   encoded dims (trailing zero dims trimmed), ≤ MaxDims
-//	    n      uint64  transform size / leaf size (≥ 1)
-//	    dims   uint32 × ndims (each ≥ 1; dims[ndims-1] ≠ 0 — canonical)
-//	    value  uint64  the recorded choice (≥ 1)
+//	    leaf uint64  Bluestein leaf size (KeyFor(leaf) ok)
+//	    m    uint64  convolution length, one of fft.ConvCandidates(leaf)
 //	checksum uint64   FNV-64a of every preceding byte
 //
-// Entries are sorted in the canonical key order and must be strictly
-// increasing, so every accepted blob has exactly one byte representation:
-// importing it into a fresh table and re-exporting reproduces the input
-// bit for bit (the FuzzWisdomDecode contract, mirroring FuzzFrameDecode).
+// Entries are sorted by strictly increasing leaf, so every accepted blob
+// has exactly one byte representation: importing it into a fresh table and
+// re-exporting reproduces the input bit for bit (the FuzzWisdomDecode
+// contract, mirroring FuzzFrameDecode). Version 1 carried per-geometry keys
+// for knobs that no longer exist; it is rejected, and re-tuning regenerates
+// the wisdom.
 const (
-	wisdomVersion = 1
-	flagReal      = 1 << 0
+	wisdomVersion = 2
+	headerLen     = 4 + 2 + 4
+	entryLen      = 8 + 8
 )
 
 var wisdomMagic = [4]byte{'F', 'T', 'W', 'S'}
@@ -41,33 +39,16 @@ func (t *Table) Export() []byte {
 	for k := range t.m {
 		keys = append(keys, k)
 	}
-	vals := make([]int64, len(keys))
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
-	for i, k := range keys {
-		vals[i] = t.m[k]
-	}
-	t.mu.Unlock()
-
-	buf := make([]byte, 0, 10+len(keys)*(12+4*MaxDims+8))
+	slices.Sort(keys)
+	buf := make([]byte, 0, headerLen+len(keys)*entryLen+8)
 	buf = append(buf, wisdomMagic[:]...)
 	buf = binary.LittleEndian.AppendUint16(buf, wisdomVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(keys)))
-	for i, k := range keys {
-		ndims := MaxDims
-		for ndims > 0 && k.Dims[ndims-1] == 0 {
-			ndims--
-		}
-		flags := byte(0)
-		if k.Real {
-			flags |= flagReal
-		}
-		buf = append(buf, byte(k.Knob), flags, k.Scheme, byte(ndims))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(k.N))
-		for d := 0; d < ndims; d++ {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(k.Dims[d]))
-		}
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(vals[i]))
+	for _, k := range keys {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(k))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(t.m[k]))
 	}
+	t.mu.Unlock()
 	h := fnv.New64a()
 	h.Write(buf)
 	return binary.LittleEndian.AppendUint64(buf, h.Sum64())
@@ -75,10 +56,11 @@ func (t *Table) Export() []byte {
 
 // Import validates a wisdom blob and merges its entries into the table,
 // bumping the epoch so plan caches keyed on it cannot mix plans tuned under
-// different wisdom. A malformed blob is rejected whole — no partial merge.
+// different wisdom. A malformed blob — including any entry whose leaf is
+// not a Bluestein leaf within MaxLeaf or whose length is off that leaf's
+// ladder — is rejected whole: no partial merge.
 func (t *Table) Import(data []byte) error {
-	const header = 4 + 2 + 4
-	if len(data) < header+8 {
+	if len(data) < headerLen+8 {
 		return fmt.Errorf("tune: wisdom blob too short (%d bytes)", len(data))
 	}
 	body, sum := data[:len(data)-8], binary.LittleEndian.Uint64(data[len(data)-8:])
@@ -91,71 +73,36 @@ func (t *Table) Import(data []byte) error {
 		return fmt.Errorf("tune: bad wisdom magic")
 	}
 	if v := binary.LittleEndian.Uint16(body[4:]); v != wisdomVersion {
-		return fmt.Errorf("tune: unsupported wisdom version %d", v)
+		return fmt.Errorf("tune: unsupported wisdom version %d (want %d); re-tune (ftfft -tune -wisdom) to regenerate it", v, wisdomVersion)
 	}
 	count := binary.LittleEndian.Uint32(body[6:])
-	if int(count) > t.cap {
+	if int64(count) > int64(t.cap) {
 		return fmt.Errorf("tune: wisdom blob holds %d entries, table cap is %d", count, t.cap)
 	}
-	off := header
-	keys := make([]Key, 0, count)
-	vals := make([]int64, 0, count)
-	for e := uint32(0); e < count; e++ {
-		if len(body)-off < 12 {
-			return fmt.Errorf("tune: wisdom entry %d truncated", e)
+	if want := headerLen + int(count)*entryLen; len(body) != want {
+		return fmt.Errorf("tune: wisdom body is %d bytes, want %d for %d entries", len(body), want, count)
+	}
+	keys := make([]Key, count)
+	vals := make([]int, count)
+	for e := range keys {
+		off := headerLen + e*entryLen
+		leaf := binary.LittleEndian.Uint64(body[off:])
+		m := binary.LittleEndian.Uint64(body[off+8:])
+		// Bound both before converting to int: the ladder's doubling loop
+		// never ends once 2·leaf−1 overflows, and every legal length is
+		// below 4·MaxLeaf.
+		if leaf > MaxLeaf || m >= 4*MaxLeaf || !legal(Key(leaf), int(m)) {
+			return fmt.Errorf("tune: wisdom entry %d: length %d is not a legal convolution for leaf %d", e, m, leaf)
 		}
-		knob, flags, scheme, ndims := Knob(body[off]), body[off+1], body[off+2], int(body[off+3])
-		n := int64(binary.LittleEndian.Uint64(body[off+4:]))
-		off += 12
-		if knob < KnobKernel || knob >= knobEnd {
-			return fmt.Errorf("tune: wisdom entry %d: unknown knob %d", e, knob)
-		}
-		if flags&^byte(flagReal) != 0 {
-			return fmt.Errorf("tune: wisdom entry %d: reserved flag bits set", e)
-		}
-		if ndims > MaxDims {
-			return fmt.Errorf("tune: wisdom entry %d: %d dims exceeds %d", e, ndims, MaxDims)
-		}
-		if n < 1 {
-			return fmt.Errorf("tune: wisdom entry %d: invalid size %d", e, n)
-		}
-		if len(body)-off < 4*ndims+8 {
-			return fmt.Errorf("tune: wisdom entry %d truncated", e)
-		}
-		k := Key{Knob: knob, Real: flags&flagReal != 0, Scheme: scheme, N: n}
-		for d := 0; d < ndims; d++ {
-			dim := int32(binary.LittleEndian.Uint32(body[off:]))
-			off += 4
-			if dim < 1 {
-				return fmt.Errorf("tune: wisdom entry %d: invalid dim %d", e, dim)
-			}
-			k.Dims[d] = dim
-		}
-		v := int64(binary.LittleEndian.Uint64(body[off:]))
-		off += 8
-		if v < 1 {
-			return fmt.Errorf("tune: wisdom entry %d: invalid value %d", e, v)
-		}
-		if len(keys) > 0 && !keyLess(keys[len(keys)-1], k) {
+		k := Key(leaf)
+		if e > 0 && k <= keys[e-1] {
 			return fmt.Errorf("tune: wisdom entry %d out of canonical order", e)
 		}
-		keys = append(keys, k)
-		vals = append(vals, v)
-	}
-	if off != len(body) {
-		return fmt.Errorf("tune: %d trailing bytes after wisdom entries", len(body)-off)
+		keys[e], vals[e] = k, int(m)
 	}
 	t.mu.Lock()
 	for i, k := range keys {
-		if _, exists := t.m[k]; !exists {
-			if len(t.order) >= t.cap {
-				oldest := t.order[0]
-				t.order = t.order[1:]
-				delete(t.m, oldest)
-			}
-			t.order = append(t.order, k)
-		}
-		t.m[k] = vals[i]
+		t.put(k, vals[i])
 	}
 	t.epoch++
 	t.mu.Unlock()

@@ -7,24 +7,23 @@ import (
 
 // FuzzWisdomDecode is the wisdom decoder's robustness contract, mirroring
 // the serve wire's FuzzFrameDecode: arbitrary bytes never panic the
-// importer, and any blob it accepts is canonical — importing it into a
-// fresh table and re-exporting reproduces the input bit for bit.
+// importer, any blob it accepts is canonical — importing it into a fresh
+// table and re-exporting reproduces the input bit for bit — and every
+// accepted length is on its leaf's convolution ladder, so no wisdom file can
+// force an off-ladder plan.
 func FuzzWisdomDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("FTWS"))
-	empty := NewTable(0)
-	f.Add(empty.Export())
-	seeded := NewTable(0)
-	for i, k := range sampleKeys() {
-		seeded.Record(k, int64(1+i))
-	}
+	f.Add(NewTable(0).Export())
+	seeded, _ := sampleTable()
 	f.Add(seeded.Export())
 	// A deliberately near-miss blob: valid prefix, flipped tail.
-	blob := seeded.Export()
-	if len(blob) > 4 {
-		blob[len(blob)-4] ^= 0x40
-	}
-	f.Add(blob)
+	near := seeded.Export()
+	near[len(near)-4] ^= 0x40
+	f.Add(near)
+	// Well-checksummed blobs the validator must refuse.
+	f.Add(blob(1, [2]uint64{4099, 9216}))
+	f.Add(blob(wisdomVersion, [2]uint64{4099, 8209}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tb := NewTable(0)
@@ -34,6 +33,11 @@ func FuzzWisdomDecode(f *testing.F) {
 		again := tb.Export()
 		if !bytes.Equal(again, data) {
 			t.Fatalf("accepted blob is not canonical: %d bytes in, %d bytes re-encoded", len(data), len(again))
+		}
+		for k, m := range tb.m {
+			if !legal(k, m) {
+				t.Fatalf("accepted length %d is off leaf %d's ladder", m, k)
+			}
 		}
 	})
 }

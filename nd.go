@@ -34,34 +34,23 @@ func newNDTransform(c config) (*ndTransform, error) {
 	cfg.Injector = c.injector
 	cfg.EtaScale = c.etaScale
 	cfg.MaxRetries = c.maxRetries
-	workers := c.ranks
-	if workers < 1 {
-		workers = 1
-	}
-	ex := c.pool
-	if ex == nil {
-		ex = exec.Default()
-	}
-	pl, err := nd.New(c.dims, nd.Config{Core: cfg, Workers: workers, Pool: ex})
+	workers := max(c.ranks, 1)
+	pl, err := nd.New(c.dims, nd.Config{Core: cfg, Workers: workers, Pool: c.pool})
 	if err != nil {
 		return nil, fmt.Errorf("ftfft: %w", err)
 	}
-	applyTileTuning(pl, &c)
 	return &ndTransform{
 		dims:    pl.Dims(),
 		n:       pl.Len(),
 		workers: workers,
 		prot:    c.protection,
 		pl:      pl,
-		ex:      ex,
+		ex:      c.pool,
 	}, nil
 }
 
-func (t *ndTransform) Len() int    { return t.n }
-func (t *ndTransform) Dims() []int { return append([]int(nil), t.dims...) }
-func (t *ndTransform) Shape() (rows, cols int) {
-	return t.dims[0], t.n / t.dims[0]
-}
+func (t *ndTransform) Len() int               { return t.n }
+func (t *ndTransform) Dims() []int            { return append([]int(nil), t.dims...) }
 func (t *ndTransform) Ranks() int             { return t.workers }
 func (t *ndTransform) Protection() Protection { return t.prot }
 

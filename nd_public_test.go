@@ -232,25 +232,18 @@ func TestND3DFaultRecoveryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestNDShapeCompat pins the Shape()/Dims()/Ranks() accessor contract
-// across geometries.
+// TestNDShapeCompat pins the Dims()/Ranks() accessor contract across
+// geometries.
 func TestNDShapeCompat(t *testing.T) {
 	tr, err := ftfft.New(512, ftfft.WithDims(8, 8, 8), ftfft.WithRanks(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r, c := tr.Shape(); r != 8 || c != 64 {
-		t.Errorf("3-D Shape() = (%d, %d), want (8, 64)", r, c)
+	if got := tr.Dims(); !slices.Equal(got, []int{8, 8, 8}) {
+		t.Errorf("3-D Dims() = %v, want [8 8 8]", got)
 	}
 	if tr.Ranks() != 3 {
 		t.Errorf("Ranks() = %d, want 3", tr.Ranks())
-	}
-	tr2, err := ftfft.New(512, ftfft.WithShape(16, 32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tr2.Dims(); !slices.Equal(got, []int{16, 32}) {
-		t.Errorf("WithShape Dims() = %v, want [16 32]", got)
 	}
 	seq, err := ftfft.New(512)
 	if err != nil {

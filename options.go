@@ -14,7 +14,6 @@ type Option func(*config)
 type config struct {
 	protection  Protection
 	ranks       int
-	rows, cols  int   // WithShape (kept separate from dims to detect conflicts)
 	dims        []int // resolved N-D geometry; nil means 1-D
 	dimsSet     bool  // WithDims was supplied (even with invalid arguments)
 	injector    Injector
@@ -28,8 +27,7 @@ type config struct {
 	tuning      TuningMode    // WithTuning; TuneEstimate means heuristics
 	batchWindow int           // WithBatchWindow; 0 means auto
 
-	// pool is the resolved executor every layer dispatches on, filled in by
-	// New; nil (the deprecated-shim path) falls back to exec.Default().
+	// pool is the resolved executor every layer dispatches on, set by New.
 	pool *exec.Pool
 }
 
@@ -40,8 +38,8 @@ func WithProtection(p Protection) Option {
 
 // WithRanks runs the transform over p simulated ranks. For a 1-D transform
 // this is the paper's §5 six-step in-place parallel algorithm (p² must
-// divide N); combined with WithDims or WithShape it sizes the worker pool
-// the axis passes are dispatched over. p ≤ 1 means sequential execution.
+// divide N); combined with WithDims it sizes the worker pool the axis
+// passes are dispatched over. p ≤ 1 means sequential execution.
 func WithRanks(p int) Option {
 	return func(c *config) { c.ranks = p }
 }
@@ -57,13 +55,6 @@ func WithDims(dims ...int) Option {
 		c.dims = append([]int(nil), dims...)
 		c.dimsSet = true
 	}
-}
-
-// WithShape makes the transform 2-D over row-major rows×cols data.
-// It is shorthand for WithDims(rows, cols) (and mutually exclusive with
-// WithDims); the planned size n must equal rows·cols.
-func WithShape(rows, cols int) Option {
-	return func(c *config) { c.rows, c.cols = rows, cols }
 }
 
 // WithInjector installs a fault injector, consulted at every fault site the
@@ -86,22 +77,22 @@ func WithMaxRetries(n int) Option {
 }
 
 // WithTuning selects the plan-time tuning policy (default TuneEstimate).
-// Under TuneMeasured, New and NewReal time the legal candidates for each
-// tunable plan choice on this host at plan build — kernel engine, Bluestein
-// convolution length, nd tile size, ForwardBatch epoch window — and record
-// the winners in the process-wide wisdom table (ExportWisdom/ImportWisdom);
-// later builds of the same geometry hit the table instead of re-measuring.
-// All measurement is confined to plan build: steady-state execution keeps
-// its allocation and determinism contracts either way.
+// Under TuneMeasured, sequential 1-D New plans and NewReal plans time the
+// legal Bluestein convolution lengths for each leaf size on this host at
+// plan build and record the winner in the process-wide wisdom table
+// (ExportWisdom/ImportWisdom); later builds sharing the leaf hit the table
+// instead of re-measuring. Plans without a Bluestein leaf — every
+// power-of-two size — and parallel and N-D plans build exactly as under
+// TuneEstimate. All measurement is confined to plan build: steady-state
+// execution keeps its allocation and determinism contracts either way.
 func WithTuning(m TuningMode) Option {
 	return func(c *config) { c.tuning = m }
 }
 
 // WithBatchWindow pins a parallel plan's ForwardBatch epoch-pipelining
 // window to k in-flight items (1 ≤ k ≤ 4); 0 (the default) keeps the
-// automatic choice — the executor-budget heuristic, or the measured winner
-// under WithTuning(TuneMeasured). Non-parallel New plans accept and ignore
-// it, like WithRanks(1); NewReal rejects it with the other parallel options.
+// executor-budget heuristic. Non-parallel New plans accept and ignore it,
+// like WithRanks(1); NewReal rejects it with the other parallel options.
 func WithBatchWindow(k int) Option {
 	return func(c *config) { c.batchWindow = k }
 }

@@ -30,17 +30,16 @@ func TestOptionValidationUniform(t *testing.T) {
 		{"negative workers", 64, []ftfft.Option{ftfft.WithWorkers(-2)}},
 		{"workers and executor together", 64, []ftfft.Option{ftfft.WithWorkers(2), ftfft.WithExecutor(shared)}},
 		{"nil executor", 64, []ftfft.Option{ftfft.WithExecutor(nil)}},
-		{"negative shape", 64, []ftfft.Option{ftfft.WithShape(-8, -8)}},
-		{"zero shape row", 64, []ftfft.Option{ftfft.WithShape(0, 64)}},
-		{"shape size mismatch", 100, []ftfft.Option{ftfft.WithShape(8, 8)}},
-		{"shape mismatch with ranks", 100, []ftfft.Option{ftfft.WithShape(8, 8), ftfft.WithRanks(2)}},
+		{"negative shape", 64, []ftfft.Option{ftfft.WithDims(8, -8)}},
+		{"zero shape row", 64, []ftfft.Option{ftfft.WithDims(0, 64)}},
+		{"shape size mismatch", 64, []ftfft.Option{ftfft.WithDims(16, 8)}},
+		{"shape mismatch with ranks", 100, []ftfft.Option{ftfft.WithDims(8, 8), ftfft.WithRanks(2)}},
 		{"empty dims", 64, []ftfft.Option{ftfft.WithDims()}},
 		{"zero dims axis", 64, []ftfft.Option{ftfft.WithDims(8, 0, 8)}},
 		{"negative dims axis", 64, []ftfft.Option{ftfft.WithDims(-8, -8)}},
 		{"dims product mismatch", 100, []ftfft.Option{ftfft.WithDims(8, 8)}},
 		{"dims product short", 64, []ftfft.Option{ftfft.WithDims(2, 2)}},
 		{"dims product overflow", 64, []ftfft.Option{ftfft.WithDims(1<<30, 1<<30, 1<<30)}},
-		{"dims and shape together", 64, []ftfft.Option{ftfft.WithDims(8, 8), ftfft.WithShape(8, 8)}},
 		{"unknown tuning mode", 64, []ftfft.Option{ftfft.WithTuning(ftfft.TuningMode(99))}},
 		{"negative tuning mode", 64, []ftfft.Option{ftfft.WithTuning(ftfft.TuningMode(-1))}},
 		{"negative batch window", 64, []ftfft.Option{ftfft.WithBatchWindow(-1)}},

@@ -11,8 +11,8 @@ import (
 // parTransform is the parallel 1-D executor: the paper's §5 six-step
 // in-place algorithm over simulated ranks, behind the unified contract.
 // Forward delegates to the parallel plan; Inverse composes the conjugation
-// identity around it, so the missing ParallelPlan.Inverse capability exists
-// here without a dedicated inverse pipeline.
+// identity around it, so the parallel path inverts without a dedicated
+// inverse pipeline.
 type parTransform struct {
 	n, ranks int
 	prot     Protection
@@ -55,12 +55,9 @@ func newParTransform(n int, c config) (*parTransform, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &parTransform{n: n, ranks: c.ranks, prot: c.protection, pl: pl}
-	if c.batchWindow > 0 {
-		t.window = clampWindow(c.batchWindow, pl)
-	} else {
-		applyWindowTuning(t, &c)
-	}
+	// WithBatchWindow is validated to 0..maxBatchWorlds; a window deeper
+	// than the epoch ring is clamped to it.
+	t := &parTransform{n: n, ranks: c.ranks, prot: c.protection, pl: pl, window: min(c.batchWindow, pl.MaxInflight())}
 	t.scratch.New = func() any {
 		buf := make([]complex128, n)
 		return &buf
@@ -68,11 +65,10 @@ func newParTransform(n int, c config) (*parTransform, error) {
 	return t, nil
 }
 
-func (t *parTransform) Len() int                { return t.n }
-func (t *parTransform) Dims() []int             { return []int{t.n} }
-func (t *parTransform) Shape() (rows, cols int) { return 1, t.n }
-func (t *parTransform) Ranks() int              { return t.ranks }
-func (t *parTransform) Protection() Protection  { return t.prot }
+func (t *parTransform) Len() int               { return t.n }
+func (t *parTransform) Dims() []int            { return []int{t.n} }
+func (t *parTransform) Ranks() int             { return t.ranks }
+func (t *parTransform) Protection() Protection { return t.prot }
 
 func (t *parTransform) Forward(ctx context.Context, dst, src []complex128) (Report, error) {
 	if err := checkArgs(t.n, dst, src); err != nil {
@@ -86,17 +82,7 @@ func (t *parTransform) Inverse(ctx context.Context, dst, src []complex128) (Repo
 		return Report{}, err
 	}
 	buf := t.scratch.Get().(*[]complex128)
-	sc := *buf
-	for i := 0; i < t.n; i++ {
-		sc[i] = conj(src[i])
-	}
-	rep, err := t.pl.TransformContext(ctx, dst, sc)
-	if err == nil {
-		inv := complex(1/float64(t.n), 0)
-		for i := 0; i < t.n; i++ {
-			dst[i] = conj(dst[i]) * inv
-		}
-	}
+	rep, err := conjInverse(ctx, t.pl, dst, src, *buf)
 	t.scratch.Put(buf)
 	return rep, err
 }
@@ -117,8 +103,8 @@ const maxBatchWorlds = 4
 // using. A transport-backed plan pipelines through its epoch ring: up to
 // MaxInflight items ride the wire at once, each on its own epoch, with
 // reserve back-pressure (a Begin past the ring depth parks until the oldest
-// item is reaped) instead of the old clamp to window = 1. WithBatchWindow or
-// a measured-tuning wisdom hit pins the window instead of the heuristic.
+// item is reaped). WithBatchWindow pins the window instead of the
+// heuristic.
 func (t *parTransform) ForwardBatch(ctx context.Context, dst, src [][]complex128) (Report, error) {
 	if err := checkBatch(t.n, dst, src); err != nil {
 		return Report{}, err
@@ -127,12 +113,6 @@ func (t *parTransform) ForwardBatch(ctx context.Context, dst, src [][]complex128
 	if window < 1 {
 		window = min(maxBatchWorlds, t.pl.MaxInflight(), max(1, t.pl.Workers()/t.pl.Gang()))
 	}
-	return t.forwardBatchWindow(ctx, dst, src, window)
-}
-
-// forwardBatchWindow runs the pipelined batch loop at an explicit in-flight
-// window; the tuner times candidate depths through it at plan build.
-func (t *parTransform) forwardBatchWindow(ctx context.Context, dst, src [][]complex128, window int) (Report, error) {
 	type pending struct {
 		inv  *parallel.Invocation
 		item int
@@ -182,71 +162,4 @@ func (t *parTransform) forwardBatchWindow(ctx context.Context, dst, src [][]comp
 		return total, firstErr
 	}
 	return total, ctx.Err()
-}
-
-// ParallelOptions configures a ParallelPlan.
-//
-// Deprecated: use New with WithRanks; Protected/Optimized map onto
-// WithProtection (None ↔ opt-FFTW, OnlineABFTMemory ↔ opt-FT-FFTW, the
-// Naive levels ↔ the unoptimized pipelines).
-type ParallelOptions struct {
-	// Protected enables the online ABFT scheme across ranks (FT-FFTW);
-	// false runs the plain six-step parallel FFT (FFTW).
-	Protected bool
-	// Optimized enables the §6 optimizations — communication-computation
-	// overlap (Algorithm 3) and fused verification passes (opt-FFTW /
-	// opt-FT-FFTW).
-	Optimized bool
-	// Injector corrupts data at fault sites, including messages in
-	// transit. It must be safe for concurrent use (fault.Schedule is).
-	Injector Injector
-	// EtaScale scales detection thresholds; 0 means 1.
-	EtaScale float64
-	// MaxRetries caps per-unit recomputations; 0 means 3.
-	MaxRetries int
-}
-
-// ParallelPlan computes protected forward DFTs with the paper's §5 six-step
-// in-place parallel algorithm.
-//
-// Deprecated: use New with WithRanks, which adds Inverse, ForwardBatch and
-// cancellation on the same pipeline.
-type ParallelPlan struct {
-	pl *parallel.Plan
-}
-
-// NewParallelPlan creates a plan for n-point transforms over ranks workers.
-// Geometry requirements: ranks² must divide n (so transposes exchange equal
-// blocks) and n/ranks must factor as k·r·k² with small r — powers of two
-// always qualify.
-//
-// Deprecated: use New(n, WithRanks(ranks), ...).
-func NewParallelPlan(n, ranks int, opts ParallelOptions) (*ParallelPlan, error) {
-	pl, err := parallel.NewPlan(n, ranks, parallel.Config{
-		Protected:  opts.Protected,
-		Optimized:  opts.Optimized,
-		Injector:   opts.Injector,
-		EtaScale:   opts.EtaScale,
-		MaxRetries: opts.MaxRetries,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &ParallelPlan{pl: pl}, nil
-}
-
-// N returns the global transform size.
-func (p *ParallelPlan) N() int { return p.pl.N() }
-
-// Ranks returns the number of workers.
-func (p *ParallelPlan) Ranks() int { return p.pl.P() }
-
-// Forward computes the forward DFT of src into dst (both length N). Rank j
-// owns the slices [j·N/p, (j+1)·N/p) of both arrays, mirroring the
-// distributed layout.
-func (p *ParallelPlan) Forward(dst, src []complex128) (Report, error) {
-	if err := checkArgs(p.pl.N(), dst, src); err != nil {
-		return Report{}, err
-	}
-	return p.pl.Transform(dst, src)
 }

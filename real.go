@@ -48,9 +48,9 @@ type RealTransform interface {
 // online protection levels additionally need a composite half length n/2 ≥ 4
 // (the two-layer decomposition runs on the inner complex transform, so
 // powers of two are ideal). Protection and tuning options compose exactly as
-// with New; geometry and parallelism options (WithDims, WithShape,
-// WithRanks, WithTransport, WithWorkers, WithExecutor, WithBatchWindow) do
-// not apply to the 1-D real path and are rejected.
+// with New; geometry and parallelism options (WithDims, WithRanks,
+// WithTransport, WithWorkers, WithExecutor, WithBatchWindow) do not apply to
+// the 1-D real path and are rejected.
 func NewReal(n int, opts ...Option) (RealTransform, error) {
 	var c config
 	for _, o := range opts {
@@ -62,8 +62,8 @@ func NewReal(n int, opts ...Option) (RealTransform, error) {
 	switch {
 	case c.ranks > 1:
 		return nil, fmt.Errorf("ftfft: invalid real-transform options: WithRanks does not apply to NewReal")
-	case c.dimsSet || c.rows != 0 || c.cols != 0:
-		return nil, fmt.Errorf("ftfft: invalid real-transform options: WithDims/WithShape do not apply to NewReal")
+	case c.dimsSet:
+		return nil, fmt.Errorf("ftfft: invalid real-transform options: WithDims does not apply to NewReal")
 	case c.transport != nil:
 		return nil, fmt.Errorf("ftfft: invalid real-transform options: WithTransport does not apply to NewReal")
 	case c.workers > 0 || c.executorSet:
@@ -78,7 +78,7 @@ func NewReal(n int, opts ...Option) (RealTransform, error) {
 	cfg.Injector = c.injector
 	cfg.EtaScale = c.etaScale
 	cfg.MaxRetries = c.maxRetries
-	applyCoreTuning(n, &cfg, &c, true)
+	applyCoreTuning(&cfg, &c)
 	r := &realTransform{n: n, prot: c.protection, cfg: cfg}
 	// Build the first context eagerly: it validates n against the scheme.
 	rc, err := core.NewReal(n, cfg)

@@ -116,7 +116,6 @@ func TestRealRejectsOptions(t *testing.T) {
 	bad := map[string][]ftfft.Option{
 		"ranks":     {ftfft.WithRanks(4)},
 		"dims":      {ftfft.WithDims(16, 16)},
-		"shape":     {ftfft.WithShape(16, 16)},
 		"workers":   {ftfft.WithWorkers(2)},
 		"transport": {ftfft.WithRanks(2), ftfft.WithTransport(nil)},
 	}

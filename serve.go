@@ -143,7 +143,7 @@ func (c *Client) Close() error { return c.c.Close() }
 
 // Forward computes the protected forward DFT of src on the server, writing
 // the Len(src) output points into dst. Options select the scheme and
-// geometry exactly as with New — WithProtection, WithDims, WithShape —
+// geometry exactly as with New — WithProtection, WithDims —
 // and determine which server-side cached plan serves the request.
 func (c *Client) Forward(ctx context.Context, dst, src []complex128, opts ...Option) (Report, error) {
 	return c.complexOp(ctx, mpi.OpForward, dst, src, opts)
@@ -164,7 +164,7 @@ func (c *Client) RealForward(ctx context.Context, dst []complex128, src []float6
 		return Report{}, err
 	}
 	if len(dims) > 0 {
-		return Report{}, fmt.Errorf("ftfft: invalid real-transform options: WithDims/WithShape do not apply to RealForward")
+		return Report{}, fmt.Errorf("ftfft: invalid real-transform options: WithDims does not apply to RealForward")
 	}
 	return c.c.Do(ctx, serve.Request{
 		Op: mpi.OpRealForward, Protection: prot, N: len(src), Real: src,
@@ -181,7 +181,7 @@ func (c *Client) RealInverse(ctx context.Context, dst []float64, src []complex12
 		return Report{}, err
 	}
 	if len(dims) > 0 {
-		return Report{}, fmt.Errorf("ftfft: invalid real-transform options: WithDims/WithShape do not apply to RealInverse")
+		return Report{}, fmt.Errorf("ftfft: invalid real-transform options: WithDims does not apply to RealInverse")
 	}
 	return c.c.Do(ctx, serve.Request{
 		Op: mpi.OpRealInverse, Protection: prot, N: n, Data: src,
@@ -226,9 +226,6 @@ func clientOptions(n int, opts []Option) (protection byte, dims []int, err error
 	}
 	if err := c.validate(n); err != nil {
 		return 0, nil, err
-	}
-	if c.rows != 0 || c.cols != 0 {
-		c.dims = []int{c.rows, c.cols}
 	}
 	if _, err := c.protection.coreConfig(); err != nil {
 		return 0, nil, err

@@ -79,7 +79,7 @@ func TestServeBitIdentical(t *testing.T) {
 	geoms := []geom{
 		{"n256-plain", 256, ftfft.None, nil},
 		{"n1024-online-memory", 1024, ftfft.OnlineABFTMemory, nil},
-		{"shape32x32-online", 1024, ftfft.OnlineABFT, []ftfft.Option{ftfft.WithShape(32, 32)}},
+		{"dims32x32-online", 1024, ftfft.OnlineABFT, []ftfft.Option{ftfft.WithDims(32, 32)}},
 		{"dims16x16x4-plain", 1024, ftfft.None, []ftfft.Option{ftfft.WithDims(16, 16, 4)}},
 	}
 
@@ -368,8 +368,8 @@ func TestServeClientOptionRejection(t *testing.T) {
 	}
 	// Geometry options are rejected on the real path.
 	rdst := make([]complex128, 33)
-	if _, err := c.RealForward(ctx, rdst, randomReal(1, 64), ftfft.WithShape(8, 8)); err == nil {
-		t.Error("WithShape accepted by RealForward")
+	if _, err := c.RealForward(ctx, rdst, randomReal(1, 64), ftfft.WithDims(8, 8)); err == nil {
+		t.Error("WithDims accepted by RealForward")
 	}
 	// The connection is still healthy.
 	if _, err := c.Forward(ctx, dst, src); err != nil {

@@ -46,10 +46,6 @@ type Transform interface {
 	// Dims returns a copy of the N-D geometry: one entry per axis of the
 	// row-major shape. 1-D transforms report [Len()].
 	Dims() []int
-	// Shape is the 2-D compatibility view of Dims: (dims[0], Len()/dims[0])
-	// — exactly (rows, cols) for a 2-D transform; 1-D transforms report
-	// (1, Len()).
-	Shape() (rows, cols int)
 	// Ranks returns the parallelism degree: simulated ranks for a parallel
 	// 1-D transform, axis-pass dispatch width for an N-D transform,
 	// 1 otherwise.
@@ -60,11 +56,11 @@ type Transform interface {
 
 // New plans an n-point protected transform. The zero option set is a plain
 // sequential 1-D FFT; options compose protection (WithProtection), geometry
-// (WithDims / WithShape) and parallelism (WithRanks):
+// (WithDims) and parallelism (WithRanks):
 //
 //	ftfft.New(1<<20, ftfft.WithProtection(ftfft.OnlineABFTMemory))
 //	ftfft.New(1<<20, ftfft.WithRanks(8), ftfft.WithProtection(ftfft.OnlineABFTMemory))
-//	ftfft.New(rows*cols, ftfft.WithShape(rows, cols), ftfft.WithRanks(4))
+//	ftfft.New(rows*cols, ftfft.WithDims(rows, cols), ftfft.WithRanks(4))
 //	ftfft.New(64*64*64, ftfft.WithDims(64, 64, 64), ftfft.WithRanks(8))
 //
 // Like FFTW, plans front-load all derived state — FFT sub-plans, twiddle
@@ -89,9 +85,6 @@ func New(n int, opts ...Option) (Transform, error) {
 		private = true
 	default:
 		c.pool = exec.Default()
-	}
-	if c.rows != 0 || c.cols != 0 {
-		c.dims = []int{c.rows, c.cols} // WithShape is WithDims(rows, cols)
 	}
 	var t Transform
 	var err error
@@ -155,8 +148,8 @@ func (c *config) validate(n int) error {
 		if c.ranks < 2 {
 			return fmt.Errorf("ftfft: invalid transport options: WithTransport needs WithRanks ≥ 2, got %d", c.ranks)
 		}
-		if c.dimsSet || c.rows != 0 || c.cols != 0 {
-			return fmt.Errorf("ftfft: invalid transport options: WithTransport applies to the parallel 1-D transform, not WithDims/WithShape")
+		if c.dimsSet {
+			return fmt.Errorf("ftfft: invalid transport options: WithTransport applies to the parallel 1-D transform, not WithDims")
 		}
 	}
 	if c.executorSet && c.executor == nil {
@@ -164,18 +157,6 @@ func (c *config) validate(n int) error {
 	}
 	if c.noPeerMesh {
 		return fmt.Errorf("ftfft: invalid option: WithoutPeerMesh applies to ServeWorker, not New (mesh topology is chosen by the hub: ListenMeshHub vs ListenHub)")
-	}
-	if c.rows != 0 || c.cols != 0 {
-		if c.dimsSet {
-			return fmt.Errorf("ftfft: invalid geometry options: WithDims and WithShape are mutually exclusive")
-		}
-		if c.rows < 1 || c.cols < 1 {
-			return fmt.Errorf("ftfft: invalid 2-D shape %d×%d", c.rows, c.cols)
-		}
-		// Overflow-safe form of n == rows·cols (rows·cols can wrap).
-		if n%c.rows != 0 || n/c.rows != c.cols {
-			return fmt.Errorf("ftfft: invalid 2-D shape %d×%d for size %d", c.rows, c.cols, n)
-		}
 	}
 	if c.dimsSet {
 		if len(c.dims) == 0 {
@@ -302,12 +283,8 @@ func newSeqTransform(n int, c config) (*seqTransform, error) {
 	cfg.Injector = c.injector
 	cfg.EtaScale = c.etaScale
 	cfg.MaxRetries = c.maxRetries
-	applyCoreTuning(n, &cfg, &c, false)
-	ex := c.pool
-	if ex == nil {
-		ex = exec.Default()
-	}
-	s := &seqTransform{n: n, prot: c.protection, cfg: cfg, ex: ex}
+	applyCoreTuning(&cfg, &c)
+	s := &seqTransform{n: n, prot: c.protection, cfg: cfg, ex: c.pool}
 	// Build the first context eagerly: it validates n against the scheme
 	// and pre-warms the pool.
 	ec, err := s.newCtx()
@@ -350,11 +327,10 @@ func (s *seqTransform) putCtx(ec *seqCtx) {
 	s.mu.Unlock()
 }
 
-func (s *seqTransform) Len() int                { return s.n }
-func (s *seqTransform) Dims() []int             { return []int{s.n} }
-func (s *seqTransform) Shape() (rows, cols int) { return 1, s.n }
-func (s *seqTransform) Ranks() int              { return 1 }
-func (s *seqTransform) Protection() Protection  { return s.prot }
+func (s *seqTransform) Len() int               { return s.n }
+func (s *seqTransform) Dims() []int            { return []int{s.n} }
+func (s *seqTransform) Ranks() int             { return 1 }
+func (s *seqTransform) Protection() Protection { return s.prot }
 
 func (s *seqTransform) Forward(ctx context.Context, dst, src []complex128) (Report, error) {
 	if err := checkArgs(s.n, dst, src); err != nil {
@@ -377,16 +353,7 @@ func (s *seqTransform) Inverse(ctx context.Context, dst, src []complex128) (Repo
 	if err != nil {
 		return Report{}, err
 	}
-	for i := 0; i < s.n; i++ {
-		ec.scratch[i] = conj(src[i])
-	}
-	rep, err := ec.tr.TransformContext(ctx, dst[:s.n], ec.scratch)
-	if err == nil {
-		inv := complex(1/float64(s.n), 0)
-		for i := 0; i < s.n; i++ {
-			dst[i] = conj(dst[i]) * inv
-		}
-	}
+	rep, err := conjInverse(ctx, ec.tr, dst, src, ec.scratch)
 	s.putCtx(ec)
 	return rep, err
 }
@@ -401,6 +368,32 @@ func (s *seqTransform) ForwardBatch(ctx context.Context, dst, src [][]complex128
 	return runIndexed(ctx, s.ex, len(dst), width, "batch item", func(ctx context.Context, _, i int) (Report, error) {
 		return s.Forward(ctx, dst[i], src[i])
 	})
+}
+
+// forwardEngine is a protected forward transform an executor inverts by
+// conjugation: a core transformer or a parallel plan.
+type forwardEngine interface {
+	TransformContext(ctx context.Context, dst, src []complex128) (Report, error)
+}
+
+// conjInverse computes the inverse DFT of src into dst through the
+// conjugation identity IDFT(x) = conj(DFT(conj(x)))/n, so the forward
+// transform's whole ABFT machinery guards the inverse: it stages conj(src)
+// in scratch (n = len(scratch) points), runs fwd from scratch into dst, and
+// conjugates and scales dst in place once the forward succeeded.
+func conjInverse(ctx context.Context, fwd forwardEngine, dst, src, scratch []complex128) (Report, error) {
+	n := len(scratch)
+	for i := 0; i < n; i++ {
+		scratch[i] = conj(src[i])
+	}
+	rep, err := fwd.TransformContext(ctx, dst[:n], scratch)
+	if err == nil {
+		inv := complex(1/float64(n), 0)
+		for i := 0; i < n; i++ {
+			dst[i] = conj(dst[i]) * inv
+		}
+	}
+	return rep, err
 }
 
 func conj(z complex128) complex128 { return complex(real(z), -imag(z)) }

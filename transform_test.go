@@ -14,140 +14,13 @@ import (
 
 var bg = context.Background()
 
-// TestNewMatchesDeprecatedPlan: the unified sequential executor and the
-// deprecated Plan shim are the same machinery — outputs must be bit-identical.
-func TestNewMatchesDeprecatedPlan(t *testing.T) {
-	n := 1024
-	x := workload.Uniform(21, n)
-	for _, prot := range allProtections {
-		tr, err := ftfft.New(n, ftfft.WithProtection(prot))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tr.Len() != n || tr.Ranks() != 1 || tr.Protection() != prot {
-			t.Fatalf("%v: accessors Len=%d Ranks=%d Protection=%v", prot, tr.Len(), tr.Ranks(), tr.Protection())
-		}
-		if r, c := tr.Shape(); r != 1 || c != n {
-			t.Fatalf("%v: Shape = %d,%d", prot, r, c)
-		}
-		got := make([]complex128, n)
-		if _, err := tr.Forward(bg, got, append([]complex128(nil), x...)); err != nil {
-			t.Fatal(err)
-		}
-		p, err := ftfft.NewPlan(n, ftfft.Options{Protection: prot})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := make([]complex128, n)
-		if _, err := p.Forward(want, append([]complex128(nil), x...)); err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%v: New and NewPlan outputs differ at %d: %v vs %v", prot, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestNewWithRanksMatchesParallelPlan: New(n, WithRanks(p)) must be
-// bit-identical to the deprecated NewParallelPlan at the equivalent
-// (Protected, Optimized) configuration.
-func TestNewWithRanksMatchesParallelPlan(t *testing.T) {
-	n, p := 4096, 8
-	x := workload.Uniform(22, n)
-	for _, tc := range []struct {
-		prot ftfft.Protection
-		opts ftfft.ParallelOptions
-	}{
-		{ftfft.None, ftfft.ParallelOptions{Optimized: true}},
-		{ftfft.OnlineABFTMemory, ftfft.ParallelOptions{Protected: true, Optimized: true}},
-		{ftfft.OnlineABFTMemoryNaive, ftfft.ParallelOptions{Protected: true}},
-	} {
-		tr, err := ftfft.New(n, ftfft.WithRanks(p), ftfft.WithProtection(tc.prot))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tr.Ranks() != p || tr.Len() != n {
-			t.Fatalf("accessors: Ranks=%d Len=%d", tr.Ranks(), tr.Len())
-		}
-		got := make([]complex128, n)
-		if _, err := tr.Forward(bg, got, append([]complex128(nil), x...)); err != nil {
-			t.Fatalf("%v: %v", tc.prot, err)
-		}
-		pp, err := ftfft.NewParallelPlan(n, p, tc.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := make([]complex128, n)
-		if _, err := pp.Forward(want, append([]complex128(nil), x...)); err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%v: unified and deprecated parallel outputs differ at %d", tc.prot, i)
-			}
-		}
-	}
-	if _, err := ftfft.New(4096, ftfft.WithRanks(8), ftfft.WithProtection(ftfft.OfflineABFT)); err == nil {
-		t.Fatal("offline protection has no parallel formulation; New must reject it")
-	}
-}
-
-// TestNewWithShapeMatchesPlan2D: WithShape must reproduce the deprecated
-// Plan2D bit-for-bit, and adding WithRanks (worker-pool dispatch of the
-// row/column passes) must not change a single bit.
-func TestNewWithShapeMatchesPlan2D(t *testing.T) {
-	rows, cols := 32, 64
-	n := rows * cols
-	x := workload.Uniform(23, n)
-	for _, prot := range []ftfft.Protection{ftfft.None, ftfft.OnlineABFTMemory} {
-		p2, err := ftfft.NewPlan2D(rows, cols, ftfft.Options{Protection: prot})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := make([]complex128, n)
-		if _, err := p2.Forward(want, append([]complex128(nil), x...)); err != nil {
-			t.Fatal(err)
-		}
-		for _, ranks := range []int{0, 1, 4} {
-			opts := []ftfft.Option{ftfft.WithShape(rows, cols), ftfft.WithProtection(prot)}
-			if ranks > 0 {
-				opts = append(opts, ftfft.WithRanks(ranks))
-			}
-			tr, err := ftfft.New(n, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r, c := tr.Shape(); r != rows || c != cols {
-				t.Fatalf("Shape = %d,%d", r, c)
-			}
-			got := make([]complex128, n)
-			if _, err := tr.Forward(bg, got, append([]complex128(nil), x...)); err != nil {
-				t.Fatalf("%v ranks=%d: %v", prot, ranks, err)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%v ranks=%d: 2-D outputs differ at %d", prot, ranks, i)
-				}
-			}
-		}
-	}
-	if _, err := ftfft.New(100, ftfft.WithShape(8, 8)); err == nil {
-		t.Fatal("size/shape mismatch accepted")
-	}
-	if _, err := ftfft.New(64, ftfft.WithShape(-8, -8)); err == nil {
-		t.Fatal("negative shape accepted")
-	}
-}
-
 // TestParallel2DInverseRoundTrip exercises the rank-pool 2-D path through
 // Inverse (including under protection with injected faults elsewhere absent).
 func TestParallel2DInverseRoundTrip(t *testing.T) {
 	rows, cols := 64, 32
 	n := rows * cols
 	x := workload.Normal(24, n)
-	tr, err := ftfft.New(n, ftfft.WithShape(rows, cols), ftfft.WithRanks(4),
+	tr, err := ftfft.New(n, ftfft.WithDims(rows, cols), ftfft.WithRanks(4),
 		ftfft.WithProtection(ftfft.OnlineABFTMemory))
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +117,7 @@ func TestForwardBatchBitIdentical(t *testing.T) {
 	}{
 		{"sequential", []ftfft.Option{ftfft.WithProtection(ftfft.OnlineABFTMemory)}, 512},
 		{"parallel", []ftfft.Option{ftfft.WithRanks(4), ftfft.WithProtection(ftfft.OnlineABFTMemory)}, 1024},
-		{"grid", []ftfft.Option{ftfft.WithShape(16, 32), ftfft.WithRanks(2), ftfft.WithProtection(ftfft.OnlineABFT)}, 512},
+		{"grid", []ftfft.Option{ftfft.WithDims(16, 32), ftfft.WithRanks(2), ftfft.WithProtection(ftfft.OnlineABFT)}, 512},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr, err := ftfft.New(tc.n, tc.opts...)
@@ -287,7 +160,7 @@ func TestUniformValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gridT, err := ftfft.New(256, ftfft.WithShape(16, 16))
+	gridT, err := ftfft.New(256, ftfft.WithDims(16, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,17 +193,6 @@ func TestUniformValidation(t *testing.T) {
 			t.Errorf("%s: aliased batch item accepted", tc.name)
 		}
 	}
-	// The deprecated shims route through the same boundary.
-	p, _ := ftfft.NewPlan(256, ftfft.Options{})
-	buf := make([]complex128, 256)
-	if _, err := p.Forward(buf, buf); err == nil {
-		t.Error("Plan.Forward accepted aliased buffers")
-	}
-	pp, _ := ftfft.NewParallelPlan(1024, 4, ftfft.ParallelOptions{})
-	big := make([]complex128, 1024)
-	if _, err := pp.Forward(big, big); err == nil {
-		t.Error("ParallelPlan.Forward accepted aliased buffers")
-	}
 }
 
 // TestCancellation: an already-canceled context must fail fast on every
@@ -341,7 +203,7 @@ func TestCancellation(t *testing.T) {
 	for _, opts := range [][]ftfft.Option{
 		{ftfft.WithProtection(ftfft.OnlineABFTMemory)},
 		{ftfft.WithRanks(4)},
-		{ftfft.WithShape(16, 16)},
+		{ftfft.WithDims(16, 16)},
 	} {
 		n := 256
 		tr, err := ftfft.New(n, opts...)
@@ -462,36 +324,5 @@ func TestInverseFaultRecovery(t *testing.T) {
 	}
 	if d := maxAbsDiff(got, want); d > 1e-7*float64(n)*(1+maxAbs(want)) {
 		t.Fatalf("inverse output wrong after recovery: %g (%+v)", d, rep)
-	}
-}
-
-// TestPlanConvolveReusesPlan: the plan-level Convolve must match the
-// package-level helper bit-for-bit and stay reusable call after call.
-func TestPlanConvolveReusesPlan(t *testing.T) {
-	n := 256
-	a := workload.Uniform(45, n)
-	b := workload.GaussianPulse(n, n/2, 8)
-	want, _, err := ftfft.Convolve(a, b, ftfft.Options{Protection: ftfft.OnlineABFTMemory})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := ftfft.NewPlan(n, ftfft.Options{Protection: ftfft.OnlineABFTMemory})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([]complex128, n)
-	for round := 0; round < 3; round++ {
-		rep, err := p.Convolve(out, a, b)
-		if err != nil || !rep.Clean() {
-			t.Fatalf("round %d: err=%v rep=%+v", round, err, rep)
-		}
-		for i := range out {
-			if out[i] != want[i] {
-				t.Fatalf("round %d: plan-level convolve differs at %d", round, i)
-			}
-		}
-	}
-	if _, err := p.Convolve(out[:10], a, b); err == nil {
-		t.Fatal("short convolve dst accepted")
 	}
 }

@@ -1,13 +1,7 @@
 package ftfft
 
 import (
-	"context"
-	"time"
-
 	"ftfft/internal/core"
-	"ftfft/internal/fft"
-	"ftfft/internal/nd"
-	"ftfft/internal/parallel"
 	"ftfft/internal/tune"
 )
 
@@ -19,8 +13,8 @@ const (
 	// and ignores the wisdom table entirely — the default, bit-identical to
 	// untuned behavior.
 	TuneEstimate TuningMode = iota
-	// TuneMeasured times the legal candidates for each tunable choice at
-	// plan build (FFTW's MEASURE) and records the winners as wisdom.
+	// TuneMeasured times the legal Bluestein convolution lengths at plan
+	// build (FFTW's MEASURE) and records the winners as wisdom.
 	TuneMeasured
 	// tuneWisdom applies wisdom hits but never measures on a miss — the
 	// serving policy, installed internally by ListenServe so a service
@@ -39,263 +33,38 @@ func ExportWisdom() []byte { return tune.Export() }
 
 // ImportWisdom merges an ExportWisdom blob into the process-wide wisdom
 // table and bumps the wisdom epoch (serve plan caches key on it, so cached
-// plans tuned under different wisdom are never mixed). A malformed blob is
-// rejected whole with no table change.
+// plans tuned under different wisdom are never mixed). A malformed blob, an
+// entry off its leaf's convolution ladder, or a blob in an older wisdom
+// version (re-tune to regenerate it) is rejected whole with no table change.
 func ImportWisdom(data []byte) error { return tune.Import(data) }
 
 // ForgetWisdom clears the process-wide wisdom table and bumps the epoch.
 func ForgetWisdom() { tune.Forget() }
 
-// tuneMode maps the public option onto the internal tuning policy.
-func (c *config) tuneMode() tune.Mode {
-	switch c.tuning {
-	case TuneMeasured:
-		return tune.Measured
-	case tuneWisdom:
-		return tune.Wisdom
-	default:
-		return tune.Estimate
-	}
-}
-
-func isPow2(v int) bool { return v > 0 && v&(v-1) == 0 }
-
-// kernelEligible reports whether flat-vs-recursive is a real A-B for an
-// n-point core transform: both two-layer sub-plan sizes must be powers of
-// two (KernelFlat is pow2-only; for other sizes auto already resolves to
-// the recursive engine and there is nothing to tune).
-func kernelEligible(n int) bool {
-	m, k, err := core.Split(n)
-	if err != nil {
-		m, k = n, 1
-	}
-	return isPow2(m) && isPow2(k)
-}
-
-// applyCoreTuning installs the kernel and convolution-length knobs on a
+// applyCoreTuning installs the Bluestein convolution-length chooser on a
 // core config under the plan's tuning mode. TuneEstimate leaves the config
-// untouched — the zero knobs reproduce pre-tuning plans bit for bit.
-func applyCoreTuning(n int, cfg *core.Config, c *config, real bool) {
-	mode := c.tuneMode()
-	if mode == tune.Estimate {
-		return
-	}
-	cfg.ConvLen = convChooser(mode)
-
-	inner := n
-	if real {
-		if n%2 != 0 {
-			return // NewReal will reject n; nothing to tune
-		}
-		inner = n / 2 // the packed complex transform the knob actually times
-	}
-	if !kernelEligible(inner) {
-		return
-	}
-	key, ok := tune.KeyFor(tune.KnobKernel, n, nil, uint8(c.protection), real)
-	if !ok {
-		return
-	}
-	if v, hit := tune.Lookup(key); hit {
-		if kn := fft.Kernel(v); kn == fft.KernelFlat || kn == fft.KernelRecursive {
-			cfg.Kernel = kn
-		}
-		return
-	}
-	if mode != tune.Measured {
-		return
-	}
-	if kn := measureKernel(n, *cfg, real); kn != fft.KernelAuto {
-		cfg.Kernel = kn
-		tune.Record(key, int64(kn))
+// untouched — the nil chooser reproduces pre-tuning plans bit for bit.
+func applyCoreTuning(cfg *core.Config, c *config) {
+	if c.tuning != TuneEstimate {
+		cfg.ConvLen = convChooser(c.tuning == TuneMeasured)
 	}
 }
 
 // convChooser is the ConvLen callback for the tuned modes: a wisdom hit
-// wins (ignoring recorded lengths that are illegal for this leaf, e.g. from
-// wisdom tuned before a ladder change), a measured-mode miss measures the
-// shared candidate ladder and records the winner, and anything else defers
-// to the convCost heuristic (return 0).
-func convChooser(mode tune.Mode) func(int) int {
+// wins (the table holds only lengths on their leaf's ladder), a miss
+// measures the ladder and records the winner when measure is set, and
+// anything else defers to the convCost heuristic (return 0).
+func convChooser(measure bool) func(int) int {
 	return func(leaf int) int {
-		key, ok := tune.KeyFor(tune.KnobConv, leaf, nil, 0, false)
+		key, ok := tune.KeyFor(leaf)
 		if !ok {
 			return 0
 		}
-		if v, hit := tune.Lookup(key); hit {
-			if m := int(v); m >= 2*leaf-1 {
-				return m
-			}
-			return 0
-		}
-		if mode != tune.Measured {
-			return 0
+		if m, hit := tune.Lookup(key); hit || !measure {
+			return m // 0 on a miss
 		}
 		m := tune.MeasureConv(leaf)
-		if m > 0 {
-			tune.Record(key, int64(m))
-		}
+		tune.Record(key, m)
 		return m
 	}
-}
-
-// measureKernel times the flat and recursive engines on a throwaway
-// transformer each (injector stripped — tuning must not consume scheduled
-// faults or pay repair time) and returns the winner, or KernelAuto when
-// neither candidate builds.
-func measureKernel(n int, cfg core.Config, real bool) fft.Kernel {
-	cfg.Injector = nil
-	cfg.ConvLen = nil // kernel A-B must not trigger conv measurement
-	iters := tune.Iters(n)
-	ctx := context.Background()
-	best, bestT := fft.KernelAuto, time.Duration(0)
-	for _, kn := range []fft.Kernel{fft.KernelFlat, fft.KernelRecursive} {
-		kcfg := cfg
-		kcfg.Kernel = kn
-		var run func()
-		if real {
-			tr, err := core.NewReal(n, kcfg)
-			if err != nil {
-				continue
-			}
-			src := make([]float64, n)
-			for i := range src {
-				src[i] = float64(i%17) - 8
-			}
-			dst := make([]complex128, n/2+1)
-			run = func() { _, _ = tr.TransformContext(ctx, dst, src) }
-		} else {
-			tr, err := core.New(n, kcfg)
-			if err != nil {
-				continue
-			}
-			src := make([]complex128, n)
-			for i := range src {
-				src[i] = complex(float64(i%17)-8, float64(i%13)-6)
-			}
-			dst := make([]complex128, n)
-			run = func() { _, _ = tr.TransformContext(ctx, dst, src) }
-		}
-		d := tune.Measure(iters, run)
-		if best == fft.KernelAuto || d < bestT {
-			best, bestT = kn, d
-		}
-	}
-	return best
-}
-
-// applyTileTuning resolves the nd tile knob on a built plan: a wisdom hit
-// retiles immediately; a measured-mode miss sweeps the shared TileLadder on
-// the plan itself (Retile never changes arithmetic, so the sweep is safe)
-// and records the winner. Skipped with an active injector — measurement
-// must not consume scheduled faults.
-func applyTileTuning(pl *nd.Plan, c *config) {
-	mode := c.tuneMode()
-	if mode == tune.Estimate {
-		return
-	}
-	key, ok := tune.KeyFor(tune.KnobTile, pl.Len(), pl.Dims(), uint8(c.protection), false)
-	if !ok {
-		return // shapes beyond tune.MaxDims go untuned
-	}
-	if v, hit := tune.Lookup(key); hit {
-		pl.Retile(int(v))
-		return
-	}
-	if mode != tune.Measured || c.injector != nil {
-		return
-	}
-	if best := measureTile(pl); best > 0 {
-		pl.Retile(best)
-		tune.Record(key, int64(best))
-	}
-}
-
-// measureTile sweeps the TileLadder on the built plan with throwaway
-// buffers and returns the fastest tile size. The plan is left on the last
-// swept candidate; the caller retiles to the winner.
-func measureTile(pl *nd.Plan) int {
-	n := pl.Len()
-	src := make([]complex128, n)
-	for i := range src {
-		src[i] = complex(float64(i%17)-8, float64(i%13)-6)
-	}
-	dst := make([]complex128, n)
-	iters := tune.Iters(n)
-	ctx := context.Background()
-	best, bestT := 0, time.Duration(0)
-	for _, t := range nd.TileLadder() {
-		pl.Retile(t)
-		d := tune.Measure(iters, func() { _, _ = pl.Forward(ctx, dst, src) })
-		if best == 0 || d < bestT {
-			best, bestT = t, d
-		}
-	}
-	return best
-}
-
-// windowCandidates is the ForwardBatch epoch-window ladder the tuner
-// measures — the in-flight depths the epoch ring supports.
-var windowCandidates = [...]int{1, 2, 4}
-
-// clampWindow bounds a configured or recorded window to what the plan can
-// pipeline; ≤ 0 falls back to the automatic choice.
-func clampWindow(w int, pl *parallel.Plan) int {
-	if w < 1 {
-		return 0
-	}
-	return min(w, maxBatchWorlds, pl.MaxInflight())
-}
-
-// applyWindowTuning resolves the ForwardBatch window knob for a parallel
-// plan. An explicit WithBatchWindow wins before this is consulted.
-func applyWindowTuning(t *parTransform, c *config) {
-	mode := c.tuneMode()
-	if mode == tune.Estimate {
-		return
-	}
-	key, ok := tune.KeyFor(tune.KnobWindow, t.n, []int{t.ranks}, uint8(c.protection), false)
-	if !ok {
-		return
-	}
-	if v, hit := tune.Lookup(key); hit {
-		t.window = clampWindow(int(v), t.pl)
-		return
-	}
-	if mode != tune.Measured || c.injector != nil {
-		return
-	}
-	if best := measureWindow(t); best > 0 {
-		t.window = best
-		tune.Record(key, int64(best))
-	}
-}
-
-// measureWindow times small ForwardBatch sweeps per candidate window depth
-// at plan build. The iteration count is a fixed small constant — each
-// sample is already a whole batch of parallel transforms.
-func measureWindow(t *parTransform) int {
-	const items = 4
-	const iters = 2
-	src := make([][]complex128, items)
-	dst := make([][]complex128, items)
-	for i := range src {
-		src[i] = make([]complex128, t.n)
-		for j := range src[i] {
-			src[i][j] = complex(float64((i+j)%17)-8, float64(j%13)-6)
-		}
-		dst[i] = make([]complex128, t.n)
-	}
-	ctx := context.Background()
-	best, bestT := 0, time.Duration(0)
-	for _, w := range windowCandidates {
-		if w > t.pl.MaxInflight() {
-			continue
-		}
-		d := tune.Measure(iters, func() { _, _ = t.forwardBatchWindow(ctx, dst, src, w) })
-		if best == 0 || d < bestT {
-			best, bestT = w, d
-		}
-	}
-	return best
 }

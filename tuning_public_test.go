@@ -3,6 +3,7 @@ package ftfft_test
 import (
 	"bytes"
 	"context"
+	"slices"
 	"testing"
 
 	"ftfft"
@@ -12,12 +13,8 @@ import (
 // forwardOnce builds a plan and runs one forward transform of src.
 func forwardOnce(t *testing.T, n int, src []complex128, opts ...ftfft.Option) []complex128 {
 	t.Helper()
-	tr, err := ftfft.New(n, opts...)
+	dst, _, err := transformOnce(t, src[:n], false, opts...)
 	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]complex128, n)
-	if _, err := tr.Forward(context.Background(), dst, src); err != nil {
 		t.Fatal(err)
 	}
 	return dst
@@ -44,12 +41,13 @@ func TestTuningEstimateBitIdentical(t *testing.T) {
 	}
 }
 
-// TestTuningDeterminism is the tentpole's honesty gate: two TuneMeasured
+// TestTuningDeterminism is the tuner's honesty gate: two TuneMeasured
 // builds under the same wisdom make the same choices and produce
 // bit-identical spectra. Run A measures from an empty table and exports;
 // run B imports that wisdom and must hit it everywhere (no re-measurement
-// changes the outcome). Covers the kernel knob (pow2), the Bluestein
-// convolution knob (n=4099), and the nd tile knob (2-D).
+// changes the outcome). The rows cover the Bluestein convolution knob —
+// the one tuned choice — on a prime size that is a single leaf (n=4099)
+// and on a protected two-layer plan whose sub-FFT carries one (n=4·1031).
 func TestTuningDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs plan-build timing sweeps")
@@ -60,9 +58,8 @@ func TestTuningDeterminism(t *testing.T) {
 		opts []ftfft.Option
 	}
 	geoms := []geom{
-		{"n1024-kernel", 1024, []ftfft.Option{ftfft.WithProtection(ftfft.OnlineABFTMemory)}},
 		{"n4099-bluestein", 4099, []ftfft.Option{ftfft.WithProtection(ftfft.None)}},
-		{"dims64x64-tile", 64 * 64, []ftfft.Option{ftfft.WithDims(64, 64)}},
+		{"n4124-online-memory", 4 * 1031, []ftfft.Option{ftfft.WithProtection(ftfft.OnlineABFTMemory)}},
 	}
 
 	ftfft.ForgetWisdom()
@@ -99,6 +96,51 @@ func TestTuningDeterminism(t *testing.T) {
 	}
 }
 
+// TestTuningPow2RecordsNothing pins that TuneMeasured leaves plans without
+// a Bluestein leaf alone: power-of-two complex, real, 2-D and parallel plans
+// record no wisdom and compute bit for bit what TuneEstimate computes.
+func TestTuningPow2RecordsNothing(t *testing.T) {
+	const n = 1024
+	ftfft.ForgetWisdom()
+	t.Cleanup(ftfft.ForgetWisdom)
+	empty := ftfft.ExportWisdom()
+	mem := ftfft.WithProtection(ftfft.OnlineABFTMemory)
+	measured := ftfft.WithTuning(ftfft.TuneMeasured)
+	src := workload.Uniform(11, n)
+	for _, g := range []struct {
+		name string
+		opts []ftfft.Option
+	}{
+		{"complex", []ftfft.Option{mem}},
+		{"2-D", []ftfft.Option{mem, ftfft.WithDims(32, 32)}},
+		{"ranks", []ftfft.Option{mem, ftfft.WithRanks(4)}},
+	} {
+		want := forwardOnce(t, n, src, g.opts...)
+		if got := forwardOnce(t, n, src, append([]ftfft.Option{measured}, g.opts...)...); !slices.Equal(got, want) {
+			t.Fatalf("%s: TuneMeasured diverged from TuneEstimate", g.name)
+		}
+	}
+	rsrc := randomReal(11, n)
+	realOnce := func(opts ...ftfft.Option) []complex128 {
+		t.Helper()
+		rt, err := ftfft.NewReal(n, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]complex128, rt.SpectrumLen())
+		if _, err := rt.Forward(context.Background(), dst, rsrc); err != nil {
+			t.Fatal(err)
+		}
+		return dst
+	}
+	if !slices.Equal(realOnce(mem, measured), realOnce(mem)) {
+		t.Fatal("real: TuneMeasured diverged from TuneEstimate")
+	}
+	if !bytes.Equal(ftfft.ExportWisdom(), empty) {
+		t.Fatal("power-of-two plans recorded wisdom")
+	}
+}
+
 // TestTunedServeBitIdentical extends the serve acceptance gate to tuned
 // plans: a server sharing the tuner's wisdom table must return bit-for-bit
 // the spectrum a local TuneMeasured plan (hitting the same wisdom) computes.
@@ -108,15 +150,21 @@ func TestTunedServeBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs plan-build timing sweeps")
 	}
-	const n = 1024
+	// 8198 = 2·4099: the online scheme's 4099-point sub-FFT is a Bluestein
+	// leaf, so the plan carries a live convolution knob.
+	const n = 2 * 4099
 	ctx := context.Background()
 	src := workload.Uniform(7, n)
 
 	ftfft.ForgetWisdom()
 	t.Cleanup(ftfft.ForgetWisdom)
+	empty := ftfft.ExportWisdom()
 	want := forwardOnce(t, n, src,
 		ftfft.WithProtection(ftfft.OnlineABFTMemory), ftfft.WithTuning(ftfft.TuneMeasured))
 	wisdom := ftfft.ExportWisdom()
+	if bytes.Equal(wisdom, empty) {
+		t.Fatal("measured build recorded no wisdom")
+	}
 	ftfft.ForgetWisdom()
 	if err := ftfft.ImportWisdom(wisdom); err != nil {
 		t.Fatal(err)
