@@ -5,8 +5,8 @@
 //
 // Every benchmark drives contendedCallers concurrent goroutines through one
 // shared plan via b.RunParallel, so ns/op is the per-transform latency the
-// fleet observes at saturation. bench.sh records the family alongside the
-// paper benchmarks; BENCH_PR3.json pins the before/after trajectory of the
+// fleet observes at saturation. CI's contended bench smoke uploads one pass
+// of the family; BENCH_PR3.json holds the before/after history of the
 // executor refactor.
 package ftfft_test
 

@@ -8,8 +8,8 @@
 // run also reports the p99 request latency alongside ns/op (mean), since a
 // service is judged by its tail.
 //
-// bench.sh records the family; BENCH_PR7.json pins the trajectory point for
-// this PR.
+// BENCH_PR7.json holds the family's history from the server's introduction;
+// cmd/ftbench's serve workload is the end-to-end judge.
 package ftfft_test
 
 import (

@@ -2,8 +2,8 @@ package ftfft_test
 
 // bench_tune_test.go is the autotuner's A-B trajectory: BenchmarkTuned*
 // runs the same transform under the estimate heuristics and under a freshly
-// measured wisdom table, one sub-benchmark per mode, so the dated JSON
-// snapshots (bench.sh --tuned) record the measured-vs-estimate delta of the
+// measured wisdom table, one sub-benchmark per mode, so one run
+// (go test -bench Tuned) prices the measured-vs-estimate delta of the
 // Bluestein convolution knob without hand-built comparisons.
 // BenchmarkTunedPlanBuild prices plan build: a wisdom hit must build within
 // noise of the estimate path (the measurement sweep runs only on a table

@@ -13,8 +13,8 @@
 //     per-message syscalls or kernel copies: frames serialize straight into
 //     the destination ring and are copied out once on receipt.
 //
-// bench.sh records the family; BENCH_PR8.json pins the chan-vs-socket-vs-shm
-// trajectory point for this PR.
+// BENCH_PR8.json holds the chan-vs-socket-vs-shm history from the shm
+// wire's introduction; cmd/ftbench's dist workload is the end-to-end judge.
 package ftfft_test
 
 import (

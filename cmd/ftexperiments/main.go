@@ -27,7 +27,7 @@ func main() {
 	parallelN := flag.Int("parallel-n", 0, "log2 size for strong scaling (0 = default 20)")
 	weakBase := flag.Int("weak-base", 0, "log2 per-rank size for weak scaling (0 = default 16)")
 	ranks := flag.String("ranks", "", "comma-separated rank counts, e.g. 2,4,8,16")
-	runs := flag.Int("runs", 0, "timing repetitions (median reported, fastest for fig7a/fig7b; 0 = default 3)")
+	runs := flag.Int("runs", 0, "timing repetitions (median wall-clock time reported; fig7a/fig7b report the fastest run in thread CPU time; 0 = default 3)")
 	faultRuns := flag.Int("faultruns", 0, "Monte-Carlo runs for tables 4 and 6 (0 = default 200; the paper uses 1000)")
 	flag.Parse()
 

@@ -6,9 +6,11 @@
 //
 // The library computes forward and inverse DFTs of arbitrary size while
 // detecting — and transparently correcting — soft errors that strike either
-// the arithmetic (logic-unit faults) or data at rest (memory bit flips),
-// at a few-percent overhead instead of the ≥100% of double/triple modular
-// redundancy.
+// the arithmetic (logic-unit faults) or data at rest (memory bit flips).
+// Protection is not yet cheap: the cmd/ftbench layer ladder
+// (cmd/ftbench/baseline.json) measures OnlineABFTMemory at +353/+211/+116%
+// over the raw FFT kernel at 2^12/2^16/2^20, of which the two-layer
+// decomposition alone, None, accounts for +61/+135/+70%.
 //
 // # One planner, one executor
 //
@@ -29,7 +31,9 @@
 // Forward, Inverse and ForwardBatch run under the same protection: the
 // inverse path uses the conjugation identity IDFT(x) = conj(DFT(conj(x)))/N
 // so the entire ABFT machinery guards it too, and batches reuse the plan's
-// pooled execution contexts with bit-identical results.
+// execution contexts with bit-identical results. Every plan but the
+// parallel 1-D one runs on one local engine: a 1-D plan is the one-axis
+// N-D plan of shape [n].
 //
 // # Protection levels
 //
@@ -300,9 +304,12 @@
 // nothing consults wisdom, unless a plan opts in.
 //
 // Transforms are safe for concurrent use by multiple goroutines.
-// Workspaces are per-call: every executor keeps a pool of execution
+// Workspaces are per-call: every plan keeps a bounded freelist of execution
 // contexts, and each in-flight call draws its own, so concurrent calls on
-// one plan never share mutable state. A parallel context is returned to
-// the pool only after a clean transform; contexts that observed an
+// one plan never share mutable state. A local plan (New without a
+// transport, and NewReal) keeps one idle context per call its executor
+// runs at once, at least 4 and at most 16, so a drained burst of callers
+// pins at most that many workspaces. A parallel context is returned to the
+// freelist only after a clean transform; contexts that observed an
 // uncorrectable fault or an abort are discarded rather than reused.
 package ftfft

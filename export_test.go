@@ -1,19 +1,17 @@
 package ftfft
 
-// PooledContexts reports how many idle execution contexts a Transform's
-// freelist currently retains, and the freelist's cap. Every executor bounds
-// its pool so a burst of M concurrent calls never pins M workspaces; the
-// context-pool tests observe that cap through this hook.
-func PooledContexts(t Transform) (free, capacity int) {
+// PooledContexts reports how many idle execution contexts a Transform's or
+// RealTransform's freelist currently retains, and the freelist's cap. Every
+// executor bounds its freelist so a burst of M concurrent calls never pins
+// M workspaces; the context-pool tests observe that cap through this hook.
+func PooledContexts(t any) (free, capacity int) {
 	switch tt := t.(type) {
-	case *seqTransform:
-		tt.mu.Lock()
-		defer tt.mu.Unlock()
-		return len(tt.free), maxPooledSeq
 	case *ndTransform:
 		return tt.pl.PooledContexts()
 	case *parTransform:
 		return tt.pl.PooledContexts()
+	case *realTransform:
+		return tt.free.Idle()
 	default:
 		return 0, 0
 	}

@@ -2,6 +2,7 @@ package ftfft_test
 
 import (
 	"errors"
+	"math"
 	"math/cmplx"
 	"testing"
 
@@ -221,10 +222,42 @@ func TestProtectionStringer(t *testing.T) {
 }
 
 func TestOnlineRejectsPrimeSizes(t *testing.T) {
-	if _, err := ftfft.New(101, ftfft.WithProtection(ftfft.OnlineABFT)); err == nil {
-		t.Fatal("online plan on prime size must fail")
+	// n = 1 has no two-layer decomposition either, although the transform
+	// is the identity.
+	for _, n := range []int{101, 1} {
+		if _, err := ftfft.New(n, ftfft.WithProtection(ftfft.OnlineABFT)); err == nil {
+			t.Fatalf("online plan on size %d must fail", n)
+		}
+		if _, err := ftfft.New(n, ftfft.WithProtection(ftfft.OfflineABFT)); err != nil {
+			t.Fatalf("offline plan on size %d should work: %v", n, err)
+		}
 	}
-	if _, err := ftfft.New(101, ftfft.WithProtection(ftfft.OfflineABFT)); err != nil {
-		t.Fatalf("offline plan on prime size should work: %v", err)
+}
+
+// TestInfiniteSubFFTOutputRepaired: a sub-FFT output overwritten with +Inf
+// is detected and recomputed by every online level. An infinite checksum
+// once verified against its own infinite round-off floor, so a SubFFT2 hit
+// returned an infinite bin with a clean Report and no error.
+func TestInfiniteSubFFTOutputRepaired(t *testing.T) {
+	x := workload.Uniform(41, 4096)
+	for _, prot := range []ftfft.Protection{ftfft.OnlineABFT, ftfft.OnlineABFTNaive, ftfft.OnlineABFTMemory, ftfft.OnlineABFTMemoryNaive} {
+		want, _, err := transformOnce(t, x, false, ftfft.WithProtection(prot))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, site := range []ftfft.Site{ftfft.SiteSubFFT1, ftfft.SiteSubFFT2} {
+			sched := ftfft.NewFaultSchedule(1, ftfft.Fault{Site: site, Occurrence: 3, Rank: ftfft.AnyRank, Index: 2, Mode: ftfft.SetConstant, Value: math.Inf(1)})
+			got, rep, err := transformOnce(t, x, false, ftfft.WithProtection(prot), ftfft.WithInjector(sched))
+			if err != nil || !sched.AllFired() || rep.Detections != 1 || rep.CompRecomputations != 1 {
+				t.Errorf("%v %v: err %v, fired %v, report %+v; want one detection and one recomputation", prot, site, err, sched.AllFired(), rep)
+				continue
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Errorf("%v %v: bin %d = %v, clean run gives %v", prot, site, i, got[i], want[i])
+					break
+				}
+			}
+		}
 	}
 }

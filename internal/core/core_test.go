@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -264,5 +265,25 @@ func TestLayoutAccessors(t *testing.T) {
 	m, k := tr.Layout()
 	if m*k != 128 || m < k {
 		t.Fatalf("Layout = %d,%d", m, k)
+	}
+}
+
+// TestCCVPassRejectsNonFinite: a non-finite checksum never verifies. With an
+// infinite side the relative floor is infinite as well, and Inf <= Inf would
+// pass the comparison.
+func TestCCVPassRejectsNonFinite(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, c := range []struct{ rX, cx complex128 }{
+		{complex(inf, 0), complex(inf, 0)},
+		{complex(inf, 0), 1},
+		{1, complex(0, -inf)},
+		{complex(nan, 0), complex(nan, 0)},
+	} {
+		if ccvPass(c.rX, c.cx, 1e-9, 64) {
+			t.Errorf("ccvPass(%v, %v) = true, want false", c.rX, c.cx)
+		}
+	}
+	if !ccvPass(1e300+1i, 1e300+1i, 1e-9, 64) {
+		t.Error("equal finite checksums rejected")
 	}
 }

@@ -325,3 +325,35 @@ func TestInvalidGangSize(t *testing.T) {
 		t.Fatal("gang size 0 accepted")
 	}
 }
+
+// TestFreelistLIFOBounded: Get hands back the most recently returned
+// workspace, builds only when empty, and Put keeps at most the list's cap.
+func TestFreelistLIFOBounded(t *testing.T) {
+	const idle = 3
+	f := NewFreelist[int](idle)
+	builds := 0
+	build := func() (int, error) { builds++; return -builds, nil }
+	for i := 0; i < idle+3; i++ {
+		f.Put(i)
+	}
+	if got, capacity := f.Idle(); got != idle || capacity != idle {
+		t.Fatalf("Idle() = %d, %d after %d puts, want the cap %d", got, capacity, idle+3, idle)
+	}
+	for want := idle - 1; want >= 0; want-- {
+		if got, err := f.Get(build); err != nil || got != want {
+			t.Fatalf("Get() = %d, %v; want %d (LIFO)", got, err, want)
+		}
+	}
+	if got, _ := f.Get(build); got != -1 || builds != 1 {
+		t.Fatalf("Get() on an empty list = %d after %d builds, want a fresh build", got, builds)
+	}
+	wantErr := errors.New("build failed")
+	if _, err := f.Get(func() (int, error) { return 0, wantErr }); !errors.Is(err, wantErr) {
+		t.Fatalf("build error not passed through: %v", err)
+	}
+	for calls, want := range map[int]int{0: MinIdle, 1: MinIdle, MinIdle + 1: MinIdle + 1, MaxIdle: MaxIdle, 64: MaxIdle} {
+		if got := IdleCap(calls); got != want {
+			t.Errorf("IdleCap(%d) = %d, want %d", calls, got, want)
+		}
+	}
+}

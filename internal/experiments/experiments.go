@@ -30,7 +30,9 @@ type Options struct {
 	// Default {2, 4, 8, 16}.
 	Ranks []int
 	// Runs is the number of timing repetitions. Default 3. Fig. 7 reports
-	// the fastest run per scheme, the other timed experiments the median.
+	// each scheme's fastest run in CPU time of the transforming thread
+	// (wall-clock time off Linux), the other timed experiments the median
+	// wall-clock time.
 	Runs int
 	// FaultRuns is the Monte-Carlo sample count for Tables 4 and 6.
 	// Default 200 (the paper uses 1000; raise it via the CLI for the full
@@ -120,13 +122,14 @@ func timeMedian(reps int, f func() error) (time.Duration, error) {
 }
 
 // timeSchemes measures several sequential scheme configurations on a fixed
-// input and returns each one's fastest wall-clock time. Every plan runs once
-// untimed first. The timed runs then go round-robin across the schemes, each
-// round starting one scheme later, so neither a stretch of background load
-// nor a scheduler period that matches the round length keeps landing on the
-// same scheme. A collection is forced before each timed run so that garbage
-// left by one scheme is not charged to the next, and keeping the fastest run
-// drops the runs that a preemption inflated anyway.
+// input and returns each one's fastest threadClock time, which other load
+// on the host cannot inflate. Every plan runs once untimed first. The timed
+// runs then go round-robin across the schemes, each round starting one
+// scheme later, so neither a stretch of background load nor a scheduler
+// period that matches the round length keeps landing on the same scheme. A
+// collection is forced before each timed run so that garbage left by one
+// scheme is not charged to the next, and keeping the fastest run drops the
+// runs that cache pollution from other work inflated anyway.
 func timeSchemes(n int, cfgs []core.Config, src []complex128, reps int) ([]time.Duration, error) {
 	trs := make([]*core.Transformer, len(cfgs))
 	for i, cfg := range cfgs {
@@ -138,12 +141,14 @@ func timeSchemes(n int, cfgs []core.Config, src []complex128, reps int) ([]time.
 	}
 	dst := make([]complex128, n)
 	in := make([]complex128, n)
+	now, release := threadClock()
+	defer release()
 	run := func(tr *core.Transformer) (time.Duration, error) {
 		copy(in, src) // schemes may repair their input; keep runs identical
 		runtime.GC()
-		start := time.Now()
+		start := now()
 		_, err := tr.Transform(dst, in)
-		return time.Since(start), err
+		return now() - start, err
 	}
 	for _, tr := range trs {
 		if _, err := run(tr); err != nil {

@@ -6,6 +6,9 @@ import "testing"
 // in-place execution must not allocate, for the iterative power-of-two path
 // and for the non-power-of-two path that round-trips through the plan's pool.
 func TestExecuteInPlaceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are meaningless")
+	}
 	for _, n := range []int{256, 360, 1000} { // 360 = 2³·3²·5, 1000 = 2³·5³
 		p := MustPlan(n, Forward)
 		buf := make([]complex128, n)
@@ -26,6 +29,9 @@ func TestExecuteInPlaceAllocs(t *testing.T) {
 // for both kernels: the flat iterative kernel gathers straight into dst, and
 // the recursive walk draws scratch from the plan's pool.
 func TestExecuteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are meaningless")
+	}
 	for _, tc := range []struct {
 		n      int
 		kernel Kernel

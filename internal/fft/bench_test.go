@@ -9,8 +9,8 @@ import (
 // protection scheme: the flat iterative radix-4/2 kernel against the
 // recursive mixed-radix walk on the same sizes, and Bluestein's transform
 // under the stage-cost convolution-length chooser against the legacy
-// next-power-of-two pinning. bench.sh and the CI bench smoke run this family
-// alongside the root-package benchmarks.
+// next-power-of-two pinning. The CI bench smoke runs this family alongside
+// the root-package benchmarks.
 
 func benchKernel(b *testing.B, kernel Kernel) {
 	for e := 10; e <= 16; e += 2 {

@@ -26,7 +26,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"ftfft/internal/core"
 	"ftfft/internal/exec"
@@ -41,18 +40,11 @@ type Config struct {
 	Workers int
 	// Pool is the executor passes dispatch on; nil means exec.Default().
 	Pool *exec.Pool
-	// MaxPooled caps the per-call context freelist (0 means
-	// DefaultMaxPooled): a burst of M concurrent calls never pins more than
-	// MaxPooled workspaces once it drains.
-	MaxPooled int
 	// TileElems overrides the tile working-set target in complex128
 	// elements (0 means DefaultTileElems). Tests use it to force multi-tile
 	// schedules on small shapes; benchmarks sweep TileLadder.
 	TileElems int
 }
-
-// DefaultMaxPooled is the default per-call context freelist cap.
-const DefaultMaxPooled = 4
 
 // DefaultTileElems is the tile working-set target: 1<<12 complex128 = 64
 // KiB, sized to sit comfortably inside L2 (and close to L1) so the cache
@@ -85,9 +77,10 @@ type pass struct {
 	tiles  int // tiles per group: ceil(inner/block)
 }
 
-// Plan executes protected N-D transforms of one fixed shape. Plans are safe
-// for concurrent use: each in-flight call draws a pooled context holding the
-// per-slot core transformers and scratch.
+// Plan executes protected N-D transforms of one fixed shape; a 1-D
+// transform is the one-axis shape [n]. Plans are safe for concurrent use:
+// each in-flight call draws a context holding the per-slot core
+// transformers and scratch from the plan's freelist.
 type Plan struct {
 	dims    []int
 	n       int
@@ -98,10 +91,7 @@ type Plan struct {
 	passes  []pass
 	lens    []int // distinct axis lengths, parallel to slot.tr
 	maxLen  int
-
-	maxPooled int
-	mu        sync.Mutex
-	free      []*callCtx
+	free    *exec.Freelist[*callCtx]
 }
 
 // callCtx is one in-flight call's workspace: one slot per dispatch width.
@@ -132,30 +122,25 @@ func New(dims []int, cfg Config) (*Plan, error) {
 		}
 		n *= d
 	}
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(cfg.Workers, 1)
 	pool := cfg.Pool
 	if pool == nil {
 		pool = exec.Default()
-	}
-	maxPooled := cfg.MaxPooled
-	if maxPooled <= 0 {
-		maxPooled = DefaultMaxPooled
 	}
 	tileElems := cfg.TileElems
 	if tileElems <= 0 {
 		tileElems = DefaultTileElems
 	}
 	p := &Plan{
-		dims:      append([]int(nil), dims...),
-		n:         n,
-		workers:   workers,
-		pool:      pool,
-		cfg:       cfg.Core,
-		offline:   cfg.Core.Scheme == core.Offline,
-		maxPooled: maxPooled,
+		dims:    append([]int(nil), dims...),
+		n:       n,
+		workers: workers,
+		pool:    pool,
+		cfg:     cfg.Core,
+		offline: cfg.Core.Scheme == core.Offline,
+		// A call fans its tiles out over workers of the pool's workers, so
+		// the pool runs Workers()/workers calls at once.
+		free: exec.NewFreelist[*callCtx](exec.IdleCap(pool.Workers() / workers)),
 	}
 	// Plan the passes innermost-axis-first. Length-1 axes are identity
 	// transforms and are skipped entirely (the first executed pass copies
@@ -191,12 +176,12 @@ func New(dims []int, cfg Config) (*Plan, error) {
 		ps.tiles = (ps.inner + ps.block - 1) / ps.block
 	}
 	// Build the first context eagerly: it validates every axis length
-	// against the protection scheme and pre-warms the pool.
+	// against the protection scheme and pre-warms the freelist.
 	cc, err := p.newCtx()
 	if err != nil {
 		return nil, err
 	}
-	p.free = append(p.free, cc)
+	p.free.Put(cc)
 	return p, nil
 }
 
@@ -207,12 +192,8 @@ func (p *Plan) Dims() []int { return append([]int(nil), p.dims...) }
 func (p *Plan) Len() int { return p.n }
 
 // PooledContexts reports how many idle call contexts the plan currently
-// retains and the configured freelist cap the count never exceeds.
-func (p *Plan) PooledContexts() (free, capacity int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.free), p.maxPooled
-}
+// retains and the freelist cap the count never exceeds.
+func (p *Plan) PooledContexts() (free, capacity int) { return p.free.Idle() }
 
 func (p *Plan) newCtx() (*callCtx, error) {
 	cc := &callCtx{slots: make([]slot, p.workers)}
@@ -230,30 +211,6 @@ func (p *Plan) newCtx() (*callCtx, error) {
 	return cc, nil
 }
 
-func (p *Plan) getCtx() (*callCtx, error) {
-	p.mu.Lock()
-	if k := len(p.free); k > 0 {
-		cc := p.free[k-1]
-		p.free[k-1] = nil
-		p.free = p.free[:k-1]
-		p.mu.Unlock()
-		return cc, nil
-	}
-	p.mu.Unlock()
-	return p.newCtx()
-}
-
-// putCtx returns a context to the pool. Core transformers rewrite all
-// working state per call, so contexts are reusable even after a failed
-// transform; overflow beyond the cap is dropped for the collector.
-func (p *Plan) putCtx(cc *callCtx) {
-	p.mu.Lock()
-	if len(p.free) < p.maxPooled {
-		p.free = append(p.free, cc)
-	}
-	p.mu.Unlock()
-}
-
 // Forward computes the forward N-D DFT of src into dst (both row-major of
 // length Len(), non-overlapping; the caller validates that contract).
 func (p *Plan) Forward(ctx context.Context, dst, src []complex128) (core.Report, error) {
@@ -269,17 +226,19 @@ func (p *Plan) Inverse(ctx context.Context, dst, src []complex128) (core.Report,
 func (p *Plan) apply(ctx context.Context, dst, src []complex128, inverse bool) (core.Report, error) {
 	dst = dst[:p.n]
 	src = src[:p.n]
-	cc, err := p.getCtx()
+	cc, err := p.free.Get(p.newCtx)
 	if err != nil {
 		return core.Report{}, err
 	}
+	// Core transformers rewrite all working state per call, so a context
+	// is reusable even after a failed transform.
+	defer p.free.Put(cc)
 	var total core.Report
 	in := src
 	for pi := range p.passes {
 		rep, err := p.runPass(ctx, cc, &p.passes[pi], dst, in, inverse)
 		total.Add(rep)
 		if err != nil {
-			p.putCtx(cc)
 			return total, err
 		}
 		in = dst
@@ -288,7 +247,6 @@ func (p *Plan) apply(ctx context.Context, dst, src []complex128, inverse bool) (
 		// Every axis is degenerate: the N-D DFT is the identity.
 		copy(dst, src)
 	}
-	p.putCtx(cc)
 	return total, nil
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"ftfft/internal/core"
 	"ftfft/internal/dft"
+	"ftfft/internal/exec"
 )
 
 var bg = context.Background()
@@ -232,12 +233,12 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestPooledContextCap(t *testing.T) {
-	p, err := New([]int{8, 8}, Config{Core: core.Config{Scheme: core.Plain}, MaxPooled: 2})
+	p, err := New([]int{8, 8}, Config{Core: core.Config{Scheme: core.Plain}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A burst of concurrent calls must not pin more than the cap.
-	const burst = 16
+	const burst = 2 * exec.MaxIdle
 	done := make(chan error, burst)
 	gate := make(chan struct{})
 	for i := 0; i < burst; i++ {
@@ -256,7 +257,7 @@ func TestPooledContextCap(t *testing.T) {
 		}
 	}
 	free, capacity := p.PooledContexts()
-	if capacity != 2 || free > capacity {
-		t.Fatalf("freelist retains %d contexts, cap is %d (want cap 2)", free, capacity)
+	if want := exec.IdleCap(exec.Default().Workers()); capacity != want || free > capacity {
+		t.Fatalf("freelist retains %d contexts, cap is %d (want the shared rule's %d)", free, capacity, want)
 	}
 }

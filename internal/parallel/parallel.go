@@ -107,8 +107,7 @@ type Plan struct {
 	checkP   []complex128 // checksum.CheckVector(p): FFT1 input weights
 	twiddle  []complex128 // [rank·q + n1] = ω_N^{n1·rank}, all p ranks
 
-	mu   sync.Mutex
-	free []*execCtx // idle execution contexts (see workspace.go)
+	free *exec.Freelist[*execCtx] // idle execution contexts (see workspace.go)
 
 	// ring holds the epoch-ring contexts of a plan built over an explicit
 	// Transport (nil otherwise): epochRing slots sharing the plan's single
@@ -185,14 +184,17 @@ func NewPlan(n, p int, cfg Config) (*Plan, error) {
 		}
 		return pl, nil
 	}
-	// Build the first execution context eagerly: it validates the FFT2
-	// decomposition of q and pre-warms the pool, so the first Transform is
-	// already on the steady-state path.
+	// A transform reserves a gang of the executor's workers, so the
+	// executor runs Workers()/gang transforms at once. Build the first
+	// execution context eagerly: it validates the FFT2 decomposition of q
+	// and pre-warms the freelist, so the first Transform is already on the
+	// steady-state path.
+	pl.free = exec.NewFreelist[*execCtx](exec.IdleCap(pl.ex.Workers() / pl.gang))
 	ec, err := pl.newCtx()
 	if err != nil {
 		return nil, err
 	}
-	pl.free = append(pl.free, ec)
+	pl.free.Put(ec)
 	return pl, nil
 }
 
@@ -224,14 +226,12 @@ func (pl *Plan) Workers() int { return pl.ex.Workers() }
 
 // MaxInflight reports how many transforms can be in flight on the plan at
 // once: the epoch-ring depth for a transport-backed plan (its ring slots
-// pipeline over the one wire, each on its own epoch), the context-pool cap
+// pipeline over the one wire, each on its own epoch), the freelist cap
 // otherwise. Batch drivers size their reap window by this — a Begin past the
 // bound parks until a slot is reaped.
 func (pl *Plan) MaxInflight() int {
-	if pl.ring != nil {
-		return epochRing
-	}
-	return maxPooledCtx
+	_, capacity := pl.PooledContexts()
+	return capacity
 }
 
 // Gang returns the executor admission a single transform reserves: the count

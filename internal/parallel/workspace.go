@@ -146,22 +146,16 @@ func (pl *Plan) newCtxOn(world *mpi.World) (*execCtx, error) {
 	return ec, nil
 }
 
-// maxPooledCtx bounds how many idle execution contexts a plan retains; it
-// caps steady-state memory at maxPooledCtx concurrent-Transform footprints.
-const maxPooledCtx = 4
-
 // epochRing is the depth of a transport plan's execution-context ring: how
 // many epoch-tagged transforms can pipeline over the one wire at once. Kept
 // a power of two so the u32 epoch counter wraps onto the same lane schedule
 // (epoch mod epochRing stays consistent across the wrap).
 const epochRing = 4
 
-// getCtx pops a pooled context or builds a fresh one. An explicit freelist
-// (not a sync.Pool) is used so the steady-state single-caller path is
-// deterministically allocation-free across garbage collections. Plans over
-// an explicit Transport draw from the fixed epoch ring instead: the wire is
-// a physical resource, so callers past the ring depth queue here until a
-// slot is reaped.
+// getCtx pops an idle context from the plan's freelist or builds a fresh
+// one. Plans over an explicit Transport draw from the fixed epoch ring
+// instead: the wire is a physical resource, so callers past the ring depth
+// queue here until a slot is reaped.
 func (pl *Plan) getCtx(ctx context.Context) (*execCtx, error) {
 	if pl.ring != nil {
 		select {
@@ -171,47 +165,30 @@ func (pl *Plan) getCtx(ctx context.Context) (*execCtx, error) {
 			return nil, ctx.Err()
 		}
 	}
-	pl.mu.Lock()
-	if k := len(pl.free); k > 0 {
-		ec := pl.free[k-1]
-		pl.free[k-1] = nil
-		pl.free = pl.free[:k-1]
-		pl.mu.Unlock()
-		return ec, nil
-	}
-	pl.mu.Unlock()
-	return pl.newCtx()
+	return pl.free.Get(pl.newCtx)
 }
 
 // finishCtx returns a context after an invocation. Cleanly finished contexts
-// go back to the pool; ones whose world aborted are dropped (the world may
-// hold undelivered messages) — except transport ring slots, which are always
-// returned so later callers fail fast on the dead wire instead of blocking
-// forever on an empty ring.
+// go back to the freelist; ones whose world aborted are dropped (the world
+// may hold undelivered messages) — except transport ring slots, which are
+// always returned so later callers fail fast on the dead wire instead of
+// blocking forever on an empty ring.
 func (pl *Plan) finishCtx(ec *execCtx, clean bool) {
 	if pl.ring != nil {
 		pl.ring <- ec
 		return
 	}
-	if !clean {
-		return
+	if clean {
+		pl.free.Put(ec)
 	}
-	pl.mu.Lock()
-	if len(pl.free) < maxPooledCtx {
-		pl.free = append(pl.free, ec)
-	}
-	pl.mu.Unlock()
 }
 
 // PooledContexts reports how many idle execution contexts the plan retains
-// and the pool cap (the epoch-ring depth for transport plans); a burst of
+// and the cap (the epoch-ring depth for transport plans); a burst of
 // concurrent Transforms never pins more than the cap once it drains.
-// Exposed for the context-pool bound tests.
 func (pl *Plan) PooledContexts() (free, capacity int) {
 	if pl.ring != nil {
 		return len(pl.ring), epochRing
 	}
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	return len(pl.free), maxPooledCtx
+	return pl.free.Idle()
 }

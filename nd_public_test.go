@@ -305,17 +305,36 @@ func TestNDBatchBitIdentical(t *testing.T) {
 func TestContextPoolBounded(t *testing.T) {
 	ctx := context.Background()
 	const burst = 24
+	complexPlan := func(n int, opts ...ftfft.Option) func() (any, func(seed int64) func() error, error) {
+		return func() (any, func(seed int64) func() error, error) {
+			tr, err := ftfft.New(n, opts...)
+			call := func(seed int64) func() error {
+				src := workload.Uniform(seed, n)
+				dst := make([]complex128, n)
+				return func() error { _, err := tr.Forward(ctx, dst, src); return err }
+			}
+			return tr, call, err
+		}
+	}
 	for _, tc := range []struct {
-		name string
-		n    int
-		opts []ftfft.Option
+		name  string
+		build func() (any, func(seed int64) func() error, error)
 	}{
-		{"seq", 1024, []ftfft.Option{ftfft.WithProtection(ftfft.OnlineABFTMemory)}},
-		{"nd", 32 * 32, []ftfft.Option{ftfft.WithDims(32, 32), ftfft.WithProtection(ftfft.OnlineABFT)}},
-		{"parallel", 1024, []ftfft.Option{ftfft.WithRanks(2), ftfft.WithProtection(ftfft.OnlineABFTMemory)}},
+		{"seq", complexPlan(1024, ftfft.WithProtection(ftfft.OnlineABFTMemory))},
+		{"nd", complexPlan(32*32, ftfft.WithDims(32, 32), ftfft.WithProtection(ftfft.OnlineABFT))},
+		{"parallel", complexPlan(1024, ftfft.WithRanks(2), ftfft.WithProtection(ftfft.OnlineABFTMemory))},
+		{"real", func() (any, func(seed int64) func() error, error) {
+			tr, err := ftfft.NewReal(1024, ftfft.WithProtection(ftfft.OnlineABFTMemory))
+			call := func(seed int64) func() error {
+				src := realInput(seed, 1024)
+				dst := make([]complex128, 1024/2+1)
+				return func() error { _, err := tr.Forward(ctx, dst, src); return err }
+			}
+			return tr, call, err
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tr, err := ftfft.New(tc.n, tc.opts...)
+			tr, call, err := tc.build()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -328,13 +347,12 @@ func TestContextPoolBounded(t *testing.T) {
 			errs := make([]error, burst)
 			for i := 0; i < burst; i++ {
 				wg.Add(1)
+				forward := call(int64(i))
 				go func(i int) {
 					defer wg.Done()
-					src := workload.Uniform(int64(i), tc.n)
-					dst := make([]complex128, tc.n)
 					<-gate
 					for it := 0; it < 3; it++ {
-						if _, err := tr.Forward(ctx, dst, src); err != nil {
+						if err := forward(); err != nil {
 							errs[i] = err
 							return
 						}
@@ -356,28 +374,37 @@ func TestContextPoolBounded(t *testing.T) {
 	}
 }
 
-// TestNDSerialAllocs: the serial N-D steady state must allocate nothing —
-// strided passes neither gather, scatter, nor construct per call.
+// TestNDSerialAllocs: the serial N-D steady state, 1-D plans included,
+// must allocate nothing — strided passes neither gather, scatter, nor
+// construct per call.
 func TestNDSerialAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are meaningless")
 	}
-	tr, err := ftfft.New(64*64, ftfft.WithDims(64, 64))
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
-	src := workload.Uniform(3, 64*64)
-	dst := make([]complex128, 64*64)
-	if _, err := tr.Forward(ctx, dst, src); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
+	for _, tc := range []struct {
+		name string
+		opts []ftfft.Option
+	}{
+		{"2-D", []ftfft.Option{ftfft.WithDims(64, 64)}},
+		{"1-D", nil}, // the one-axis shape [n]
+	} {
+		tr, err := ftfft.New(64*64, tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := workload.Uniform(3, 64*64)
+		dst := make([]complex128, 64*64)
 		if _, err := tr.Forward(ctx, dst, src); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("serial 2-D Forward: %v allocs/op, want 0", allocs)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := tr.Forward(ctx, dst, src); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("serial %s Forward: %v allocs/op, want 0", tc.name, allocs)
+		}
 	}
 }

@@ -3,8 +3,8 @@ package ftfft
 import (
 	"context"
 	"fmt"
-	"sync"
 
+	"ftfft/internal/exec"
 	"ftfft/internal/parallel"
 )
 
@@ -17,8 +17,8 @@ type parTransform struct {
 	n, ranks int
 	prot     Protection
 	pl       *parallel.Plan
-	window   int       // pinned ForwardBatch window; 0 means heuristic
-	scratch  sync.Pool // of *[]complex128, conjugation staging for Inverse
+	window   int                          // pinned ForwardBatch window; 0 means heuristic
+	scratch  *exec.Freelist[[]complex128] // conjugation staging for Inverse
 }
 
 // parallelConfig maps a Protection level onto the parallel scheme's
@@ -55,14 +55,14 @@ func newParTransform(n int, c config) (*parTransform, error) {
 	if err != nil {
 		return nil, err
 	}
-	// WithBatchWindow is validated to 0..maxBatchWorlds; a window deeper
-	// than the epoch ring is clamped to it.
-	t := &parTransform{n: n, ranks: c.ranks, prot: c.protection, pl: pl, window: min(c.batchWindow, pl.MaxInflight())}
-	t.scratch.New = func() any {
-		buf := make([]complex128, n)
-		return &buf
-	}
-	return t, nil
+	// WithBatchWindow is validated to 0..exec.MinIdle; a window deeper
+	// than the plan's in-flight bound is clamped to it. Inverse stages one
+	// buffer per transform that can be in flight.
+	return &parTransform{
+		n: n, ranks: c.ranks, prot: c.protection, pl: pl,
+		window:  min(c.batchWindow, pl.MaxInflight()),
+		scratch: exec.NewFreelist[[]complex128](pl.MaxInflight()),
+	}, nil
 }
 
 func (t *parTransform) Len() int               { return t.n }
@@ -81,16 +81,22 @@ func (t *parTransform) Inverse(ctx context.Context, dst, src []complex128) (Repo
 	if err := checkArgs(t.n, dst, src); err != nil {
 		return Report{}, err
 	}
-	buf := t.scratch.Get().(*[]complex128)
-	rep, err := conjInverse(ctx, t.pl, dst, src, *buf)
-	t.scratch.Put(buf)
+	scratch, _ := t.scratch.Get(t.newScratch) // building a buffer cannot fail
+	defer t.scratch.Put(scratch)
+	for i, v := range src[:t.n] {
+		scratch[i] = complex(real(v), -imag(v))
+	}
+	rep, err := t.pl.TransformContext(ctx, dst[:t.n], scratch)
+	if err == nil {
+		inv := complex(1/float64(t.n), 0)
+		for i, v := range dst[:t.n] {
+			dst[i] = complex(real(v), -imag(v)) * inv
+		}
+	}
 	return rep, err
 }
 
-// maxBatchWorlds caps in-flight batch items on a parallel plan at the
-// plan's execution-context (world) pool size, so batches never construct
-// worlds the pool would immediately discard.
-const maxBatchWorlds = 4
+func (t *parTransform) newScratch() ([]complex128, error) { return make([]complex128, t.n), nil }
 
 // ForwardBatch pipelines items through the executor: the caller's goroutine
 // submits each item's rank group (parallel.Begin) and reaps completions in
@@ -111,7 +117,7 @@ func (t *parTransform) ForwardBatch(ctx context.Context, dst, src [][]complex128
 	}
 	window := t.window
 	if window < 1 {
-		window = min(maxBatchWorlds, t.pl.MaxInflight(), max(1, t.pl.Workers()/t.pl.Gang()))
+		window = min(t.pl.MaxInflight(), max(1, t.pl.Workers()/t.pl.Gang()))
 	}
 	type pending struct {
 		inv  *parallel.Invocation

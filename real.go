@@ -3,9 +3,9 @@ package ftfft
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"ftfft/internal/core"
+	"ftfft/internal/exec"
 )
 
 // RealTransform is the real-input counterpart of Transform: protected
@@ -79,48 +79,29 @@ func NewReal(n int, opts ...Option) (RealTransform, error) {
 	cfg.EtaScale = c.etaScale
 	cfg.MaxRetries = c.maxRetries
 	applyCoreTuning(&cfg, &c)
-	r := &realTransform{n: n, prot: c.protection, cfg: cfg}
+	// Real transforms run on their callers' goroutines; size the freelist
+	// like a 1-D plan's on the default executor.
+	r := &realTransform{n: n, prot: c.protection, cfg: cfg, free: exec.NewFreelist[*core.RealTransformer](exec.IdleCap(exec.Default().Workers()))}
 	// Build the first context eagerly: it validates n against the scheme.
-	rc, err := core.NewReal(n, cfg)
+	rc, err := r.newCtx()
 	if err != nil {
 		return nil, err
 	}
-	r.free = append(r.free, rc)
+	r.free.Put(rc)
 	return r, nil
 }
 
-// realTransform is the sequential real-input executor: a pool of core real
-// transformers (one drawn per in-flight call) behind the RealTransform
-// contract, mirroring the complex seqTransform.
+// realTransform is the sequential real-input executor: core real
+// transformers drawn one per in-flight call from a freelist, behind the
+// RealTransform contract.
 type realTransform struct {
 	n    int
 	prot Protection
 	cfg  core.Config
-
-	mu   sync.Mutex
-	free []*core.RealTransformer
+	free *exec.Freelist[*core.RealTransformer]
 }
 
-func (r *realTransform) getCtx() (*core.RealTransformer, error) {
-	r.mu.Lock()
-	if k := len(r.free); k > 0 {
-		rc := r.free[k-1]
-		r.free[k-1] = nil
-		r.free = r.free[:k-1]
-		r.mu.Unlock()
-		return rc, nil
-	}
-	r.mu.Unlock()
-	return core.NewReal(r.n, r.cfg)
-}
-
-func (r *realTransform) putCtx(rc *core.RealTransformer) {
-	r.mu.Lock()
-	if len(r.free) < maxPooledSeq {
-		r.free = append(r.free, rc)
-	}
-	r.mu.Unlock()
-}
+func (r *realTransform) newCtx() (*core.RealTransformer, error) { return core.NewReal(r.n, r.cfg) }
 
 func (r *realTransform) Len() int               { return r.n }
 func (r *realTransform) SpectrumLen() int       { return r.n/2 + 1 }
@@ -130,12 +111,12 @@ func (r *realTransform) Forward(ctx context.Context, dst []complex128, src []flo
 	if len(dst) < r.SpectrumLen() || len(src) < r.n {
 		return Report{}, fmt.Errorf("ftfft: real-transform buffers too short: dst=%d src=%d, need %d and %d", len(dst), len(src), r.SpectrumLen(), r.n)
 	}
-	rc, err := r.getCtx()
+	rc, err := r.free.Get(r.newCtx)
 	if err != nil {
 		return Report{}, err
 	}
 	rep, err := rc.TransformContext(ctx, dst, src)
-	r.putCtx(rc)
+	r.free.Put(rc)
 	return rep, err
 }
 
@@ -143,11 +124,11 @@ func (r *realTransform) Inverse(ctx context.Context, dst []float64, src []comple
 	if len(dst) < r.n || len(src) < r.SpectrumLen() {
 		return Report{}, fmt.Errorf("ftfft: real-transform buffers too short: dst=%d src=%d, need %d and %d", len(dst), len(src), r.n, r.SpectrumLen())
 	}
-	rc, err := r.getCtx()
+	rc, err := r.free.Get(r.newCtx)
 	if err != nil {
 		return Report{}, err
 	}
 	rep, err := rc.InverseContext(ctx, dst, src)
-	r.putCtx(rc)
+	r.free.Put(rc)
 	return rep, err
 }

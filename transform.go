@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 
-	"ftfft/internal/core"
 	"ftfft/internal/exec"
 )
 
@@ -88,13 +86,10 @@ func New(n int, opts ...Option) (Transform, error) {
 	}
 	var t Transform
 	var err error
-	switch {
-	case len(c.dims) >= 2:
-		t, err = newNDTransform(c)
-	case c.ranks > 1:
+	if len(c.dims) < 2 && c.ranks > 1 {
 		t, err = newParTransform(n, c)
-	default:
-		t, err = newSeqTransform(n, c)
+	} else {
+		t, err = newNDTransform(n, c)
 	}
 	if err != nil {
 		return nil, err
@@ -105,8 +100,6 @@ func New(n int, opts ...Option) (Transform, error) {
 		// needs the concrete pointer, not the interface.
 		closePool := func(p *exec.Pool) { p.Close() }
 		switch tt := t.(type) {
-		case *seqTransform:
-			runtime.AddCleanup(tt, closePool, c.pool)
 		case *parTransform:
 			runtime.AddCleanup(tt, closePool, c.pool)
 		case *ndTransform:
@@ -138,8 +131,8 @@ func (c *config) validate(n int) error {
 	if c.tuning != TuneEstimate && c.tuning != TuneMeasured && c.tuning != tuneWisdom {
 		return fmt.Errorf("ftfft: invalid tuning mode %d", int(c.tuning))
 	}
-	if c.batchWindow < 0 || c.batchWindow > maxBatchWorlds {
-		return fmt.Errorf("ftfft: invalid batch window %d (0 means auto, max %d)", c.batchWindow, maxBatchWorlds)
+	if c.batchWindow < 0 || c.batchWindow > exec.MinIdle {
+		return fmt.Errorf("ftfft: invalid batch window %d (0 means auto, max %d)", c.batchWindow, exec.MinIdle)
 	}
 	if c.workers > 0 && c.executorSet {
 		return fmt.Errorf("ftfft: invalid executor options: WithWorkers and WithExecutor are mutually exclusive")
@@ -207,193 +200,3 @@ func checkBatch(n int, dst, src [][]complex128) error {
 	}
 	return nil
 }
-
-// runIndexed drives items through fn as an executor task group with at most
-// width concurrent executions, accumulating the per-slot Reports. fn
-// receives its slot index (0 ≤ slot < width) so callers can hand each slot
-// private scratch. The calling goroutine always participates (the executor's
-// caller-runs contract), so the group completes even when the pool is
-// saturated. The first failing item (lowest index) determines the returned
-// error, wrapped as "<label> <index>"; later items may have been skipped.
-func runIndexed(ctx context.Context, ex *exec.Pool, items, width int, label string, fn func(ctx context.Context, slot, item int) (Report, error)) (Report, error) {
-	if width > items {
-		width = items
-	}
-	if width <= 1 {
-		// Inline serial path: no dispatch, no allocation — the steady state
-		// of serial 2-D passes and single-item batches.
-		var total Report
-		for i := 0; i < items; i++ {
-			if err := ctx.Err(); err != nil {
-				return total, err
-			}
-			rep, err := fn(ctx, 0, i)
-			total.Add(rep)
-			if err != nil {
-				return total, fmt.Errorf("ftfft: %s %d: %w", label, i, err)
-			}
-		}
-		return total, nil
-	}
-	reps := make([]Report, width)
-	err := ex.Run(ctx, items, width, func(ctx context.Context, slot, item int) error {
-		rep, err := fn(ctx, slot, item)
-		reps[slot].Add(rep)
-		if err != nil {
-			return fmt.Errorf("ftfft: %s %d: %w", label, item, err)
-		}
-		return nil
-	})
-	var total Report
-	for i := range reps {
-		total.Add(reps[i])
-	}
-	return total, err
-}
-
-// seqTransform is the sequential 1-D executor: a pool of core transformers
-// (one drawn per in-flight call) behind the unified contract. Forward and
-// Inverse run on the calling goroutine; only ForwardBatch dispatches, as an
-// executor task group.
-type seqTransform struct {
-	n    int
-	prot Protection
-	cfg  core.Config
-	ex   *exec.Pool
-
-	mu   sync.Mutex
-	free []*seqCtx
-}
-
-// seqCtx is one in-flight call's state: the transformer and the conjugation
-// staging buffer the inverse path writes conj(src) into.
-type seqCtx struct {
-	tr      *core.Transformer
-	scratch []complex128
-}
-
-// maxPooledSeq bounds how many idle sequential contexts a plan retains.
-const maxPooledSeq = 16
-
-func newSeqTransform(n int, c config) (*seqTransform, error) {
-	cfg, err := c.protection.coreConfig()
-	if err != nil {
-		return nil, err
-	}
-	cfg.Injector = c.injector
-	cfg.EtaScale = c.etaScale
-	cfg.MaxRetries = c.maxRetries
-	applyCoreTuning(&cfg, &c)
-	s := &seqTransform{n: n, prot: c.protection, cfg: cfg, ex: c.pool}
-	// Build the first context eagerly: it validates n against the scheme
-	// and pre-warms the pool.
-	ec, err := s.newCtx()
-	if err != nil {
-		return nil, err
-	}
-	s.free = append(s.free, ec)
-	return s, nil
-}
-
-func (s *seqTransform) newCtx() (*seqCtx, error) {
-	tr, err := core.New(s.n, s.cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &seqCtx{tr: tr, scratch: make([]complex128, s.n)}, nil
-}
-
-func (s *seqTransform) getCtx() (*seqCtx, error) {
-	s.mu.Lock()
-	if k := len(s.free); k > 0 {
-		ec := s.free[k-1]
-		s.free[k-1] = nil
-		s.free = s.free[:k-1]
-		s.mu.Unlock()
-		return ec, nil
-	}
-	s.mu.Unlock()
-	return s.newCtx()
-}
-
-// putCtx returns a context to the pool. Unlike the parallel worlds, a core
-// transformer rewrites all working state per call, so contexts are reusable
-// even after a failed transform.
-func (s *seqTransform) putCtx(ec *seqCtx) {
-	s.mu.Lock()
-	if len(s.free) < maxPooledSeq {
-		s.free = append(s.free, ec)
-	}
-	s.mu.Unlock()
-}
-
-func (s *seqTransform) Len() int               { return s.n }
-func (s *seqTransform) Dims() []int            { return []int{s.n} }
-func (s *seqTransform) Ranks() int             { return 1 }
-func (s *seqTransform) Protection() Protection { return s.prot }
-
-func (s *seqTransform) Forward(ctx context.Context, dst, src []complex128) (Report, error) {
-	if err := checkArgs(s.n, dst, src); err != nil {
-		return Report{}, err
-	}
-	ec, err := s.getCtx()
-	if err != nil {
-		return Report{}, err
-	}
-	rep, err := ec.tr.TransformContext(ctx, dst[:s.n], src[:s.n])
-	s.putCtx(ec)
-	return rep, err
-}
-
-func (s *seqTransform) Inverse(ctx context.Context, dst, src []complex128) (Report, error) {
-	if err := checkArgs(s.n, dst, src); err != nil {
-		return Report{}, err
-	}
-	ec, err := s.getCtx()
-	if err != nil {
-		return Report{}, err
-	}
-	rep, err := conjInverse(ctx, ec.tr, dst, src, ec.scratch)
-	s.putCtx(ec)
-	return rep, err
-}
-
-func (s *seqTransform) ForwardBatch(ctx context.Context, dst, src [][]complex128) (Report, error) {
-	if err := checkBatch(s.n, dst, src); err != nil {
-		return Report{}, err
-	}
-	// Width is capped at the context-pool size, so the steady state never
-	// constructs transformers beyond what the pool retains.
-	width := min(runtime.GOMAXPROCS(0), maxPooledSeq)
-	return runIndexed(ctx, s.ex, len(dst), width, "batch item", func(ctx context.Context, _, i int) (Report, error) {
-		return s.Forward(ctx, dst[i], src[i])
-	})
-}
-
-// forwardEngine is a protected forward transform an executor inverts by
-// conjugation: a core transformer or a parallel plan.
-type forwardEngine interface {
-	TransformContext(ctx context.Context, dst, src []complex128) (Report, error)
-}
-
-// conjInverse computes the inverse DFT of src into dst through the
-// conjugation identity IDFT(x) = conj(DFT(conj(x)))/n, so the forward
-// transform's whole ABFT machinery guards the inverse: it stages conj(src)
-// in scratch (n = len(scratch) points), runs fwd from scratch into dst, and
-// conjugates and scales dst in place once the forward succeeded.
-func conjInverse(ctx context.Context, fwd forwardEngine, dst, src, scratch []complex128) (Report, error) {
-	n := len(scratch)
-	for i := 0; i < n; i++ {
-		scratch[i] = conj(src[i])
-	}
-	rep, err := fwd.TransformContext(ctx, dst[:n], scratch)
-	if err == nil {
-		inv := complex(1/float64(n), 0)
-		for i := 0; i < n; i++ {
-			dst[i] = conj(dst[i]) * inv
-		}
-	}
-	return rep, err
-}
-
-func conj(z complex128) complex128 { return complex(real(z), -imag(z)) }
